@@ -114,22 +114,25 @@ func BenchmarkPartHKway(b *testing.B) {
 // BenchmarkLiveRepartition measures one incremental-repartitioning cycle
 // of the live control loop at TPCC-50W trace scale (scripts/bench.sh
 // snapshots it into BENCH_<n>.json, and the bench-smoke CI gate requires
-// warm < cold).
+// warm < cold and warm < cold-hyper).
 //
-// cold: the from-scratch path PR 3-9 shipped — rebuild the clique
-// workload graph, run the full multilevel min-cut with the held solver,
-// relabel against the deployed assignment, and plan the migration.
+// cold: the from-scratch clique path — rebuild the clique workload graph,
+// run the full multilevel min-cut with the held solver, relabel against
+// the deployed assignment, and plan the migration.
 //
-// warm: the steady-state path of ROADMAP item 5 — hypergraph build,
-// deployed placement projected onto the new graph, boundary-restricted
-// refinement in place of coarsen → bisect → uncoarsen, same relabel +
-// plan tail. FullCutEveryN / DriftCutThreshold are disabled so every
-// measured iteration is a genuine warm cycle. One warm cycle runs
-// untimed first: the first refinement after a deploy walks the whole
-// boundary down to a local optimum (the adapt experiment measures that
-// transient), while steady state re-refines an already-converged
-// placement — which is what repeats every window and what this arm
-// times.
+// cold-hyper: the same from-scratch cycle on the hypergraph (BuildHyper +
+// PartHKway), i.e. the full cut the warm arm's policy falls back to.
+//
+// warm: the steady-state path — hypergraph build, deployed placement
+// projected onto the new graph, boundary-restricted refinement in place
+// of coarsen → bisect → uncoarsen, same relabel + plan tail.
+// FullCutEveryN is disabled and the measured drift (1.0) sits below the
+// escape threshold, so every measured iteration is a genuine warm cycle.
+// One warm cycle runs untimed first: the first refinement after a deploy
+// walks the whole boundary down to a local optimum (the adapt experiment
+// measures that transient), while steady state re-refines an
+// already-converged placement — which is what repeats every window and
+// what this arm times.
 func BenchmarkLiveRepartition(b *testing.B) {
 	w := workloads.TPCC(workloads.TPCCConfig{
 		Warehouses: 50, Customers: 20, Items: 500,
@@ -181,20 +184,26 @@ func BenchmarkLiveRepartition(b *testing.B) {
 		b.ReportMetric(float64(last.PhaseRelabel.Milliseconds()), "relabel-ms")
 	}
 
-	b.Run("cold", func(b *testing.B) {
-		cfg := live.RepartitionConfig{
-			K:     8,
-			Graph: graph.Options{Replication: true, Coalesce: true, Seed: 3},
-			Metis: metis.Options{Seed: 7},
-		}
-		prior := deploy(b, cfg)
-		cfg.Metis.Seed = 8
-		rep, err := live.NewRepartitioner(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		measure(b, rep, prior, live.ModeFull)
-	})
+	for _, arm := range []struct {
+		name  string
+		hyper bool
+	}{{"cold", false}, {"cold-hyper", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			cfg := live.RepartitionConfig{
+				K:     8,
+				Graph: graph.Options{Replication: true, Coalesce: true, Seed: 3},
+				Metis: metis.Options{Seed: 7},
+				Hyper: arm.hyper,
+			}
+			prior := deploy(b, cfg)
+			cfg.Metis.Seed = 8
+			rep, err := live.NewRepartitioner(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			measure(b, rep, prior, live.ModeFull)
+		})
+	}
 	b.Run("warm", func(b *testing.B) {
 		cfg := live.RepartitionConfig{
 			K:     8,
@@ -206,7 +215,6 @@ func BenchmarkLiveRepartition(b *testing.B) {
 		cfg.Metis.Seed = 8
 		cfg.WarmStart = true
 		cfg.FullCutEveryN = -1
-		cfg.DriftCutThreshold = -1
 		rep, err := live.NewRepartitioner(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -48,20 +48,6 @@ type Input struct {
 	// the connectivity metric, instead of the clique expansion + edge cut.
 	// Result.EdgeCut then reports the connectivity cost.
 	Hyper bool
-	// Prior, when set, is an already-deployed per-tuple assignment the new
-	// partitioning should disturb as little as possible: after min-cut
-	// partitioning, the fresh partition labels are permuted by a greedy
-	// max-weight matching against Prior (partition.RelabelMap), so a
-	// redeployment moves the fewest tuples. Result.PriorDiff reports the
-	// implied movement (and PriorNaiveDiff what it would have been without
-	// relabeling).
-	Prior map[workload.TupleID][]int
-	// Warm, with Prior set, skips the full multilevel cut: Prior is
-	// projected onto the graph's node space (graph.ProjectLabels) and
-	// refined in place (metis.RefineKway/RefineHKway) — the offline form
-	// of the live loop's warm-start cycles. Ignored without Prior (there
-	// is nothing to warm-start from).
-	Warm bool
 }
 
 // Options tune the pipeline phases.
@@ -136,9 +122,6 @@ type Result struct {
 	Stats      GraphStats
 	EdgeCut    int64
 	PartWeight []int64
-	// Mode records how phase 3 computed the partitioning: "full" for the
-	// multilevel min-cut, "warm" for refine-only from Input.Prior.
-	Mode string
 
 	// Assignments is the per-tuple replica-set map the pipeline deploys:
 	// the graph phase's placement after write-aware replica pruning
@@ -155,11 +138,6 @@ type Result struct {
 	// RuleStrings renders the learned rules per table for reporting, in
 	// the style of §5.2.
 	RuleStrings map[string][]string
-
-	// PriorDiff and PriorNaiveDiff compare the (relabeled, resp. raw)
-	// partitioning against Input.Prior; zero-valued when Prior is unset.
-	PriorDiff      partition.Diff
-	PriorNaiveDiff partition.Diff
 
 	// Costs maps strategy name -> measured cost on the test trace.
 	// Keys: "lookup-table", "range-predicates", "hashing", "replication".
@@ -223,20 +201,7 @@ func Run(in Input, opts Options) (*Result, error) {
 		mopts.Seed = opts.Seed
 	}
 	t0 = time.Now()
-	var parts []int32
-	var cut int64
-	if in.Warm && in.Prior != nil {
-		res.Mode = "warm"
-		parts = g.ProjectLabels(k, func(id workload.TupleID) []int { return in.Prior[id] })
-		if in.Hyper {
-			cut, err = metis.RefineHKway(g.HG, k, parts, mopts)
-		} else {
-			cut, err = metis.RefineKway(g.CSR, k, parts, mopts)
-		}
-	} else {
-		res.Mode = "full"
-		parts, cut, err = g.Partition(k, mopts)
-	}
+	parts, cut, err := g.Partition(k, mopts)
 	if err != nil {
 		return nil, fmt.Errorf("core: partitioning failed: %w", err)
 	}
@@ -244,30 +209,11 @@ func Run(in Input, opts Options) (*Result, error) {
 	res.EdgeCut = cut
 	tuples := g.Intern.Tuples()
 	dense := g.DenseAssignments(parts)
-	var oldSets [][]int
-	if in.Prior != nil {
-		// Incremental mode: rename the fresh labels to disturb the
-		// deployed assignment minimally (a pure permutation; the cut and
-		// balance are untouched).
-		oldSets = make([][]int, len(tuples))
-		for d, id := range tuples {
-			oldSets[d] = in.Prior[id]
-		}
-		res.PriorNaiveDiff = partition.AssignmentDiff(oldSets, dense, k)
-		perm := partition.RelabelMap(oldSets, dense, k)
-		partition.ApplyRelabel(parts, perm)
-		dense = g.DenseAssignments(parts)
-	}
 	// PartWeight is the graph phase's balance (per-partition node weight
 	// under the min-cut labels); the replica pruning below adjusts the
 	// deployed replica sets but not the graph labels.
 	res.PartWeight = g.PartWeights(parts, k)
 	res.PrunedReplicas = pruneWriteReplicas(train, tuples, dense, opts.ReadMostlyWriteFrac)
-	if in.Prior != nil {
-		// Diff against the deployed (post-prune) sets: this is the
-		// movement a redeployment actually performs.
-		res.PriorDiff = partition.AssignmentDiff(oldSets, dense, k)
-	}
 	res.Assignments = make(map[workload.TupleID][]int, len(dense))
 	for d, set := range dense {
 		res.Assignments[tuples[d]] = set
@@ -514,8 +460,8 @@ func allParts(k int) []int {
 // Report renders a Fig. 4-style summary.
 func (r *Result) Report() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "partitions=%d mode=%s graph: %d tuples, %d txns, %d nodes, %d edges, cut=%d\n",
-		r.K, r.Mode, r.Stats.Tuples, r.Stats.Txns, r.Stats.Nodes, r.Stats.Edges, r.EdgeCut)
+	fmt.Fprintf(&sb, "partitions=%d graph: %d tuples, %d txns, %d nodes, %d edges, cut=%d\n",
+		r.K, r.Stats.Tuples, r.Stats.Txns, r.Stats.Nodes, r.Stats.Edges, r.EdgeCut)
 	names := make([]string, 0, len(r.Costs))
 	for n := range r.Costs {
 		names = append(names, n)

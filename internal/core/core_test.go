@@ -240,76 +240,3 @@ func TestDisableReplicationAblation(t *testing.T) {
 		}
 	}
 }
-
-// TestPriorAssignmentMinimisesMovement: rerunning the pipeline on a
-// similar workload with the previous assignment as Prior must relabel the
-// fresh partitioning so that far fewer tuples move than under the
-// partitioner's raw labels, without changing the achieved quality.
-func TestPriorAssignmentMinimisesMovement(t *testing.T) {
-	w := workloads.TPCC(workloads.TPCCConfig{
-		Warehouses: 4, Customers: 20, Items: 120, InitialOrders: 8, Txns: cut(3000, 1500), Seed: 9,
-	})
-	first := runPipeline(t, w, 4, Options{Seed: 7})
-
-	rerun, err := Run(Input{
-		Trace:      w.Trace,
-		Resolver:   w.Resolver(),
-		KeyColumns: w.KeyColumns,
-		DB:         w.DB,
-		Prior:      first.Assignments,
-	}, Options{Partitions: 4, Seed: 8}) // new seed: labels come out shuffled
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rerun.PriorDiff.Total == 0 {
-		t.Fatal("prior diff not computed")
-	}
-	if rerun.PriorDiff.Moved > rerun.PriorNaiveDiff.Moved/2 {
-		t.Fatalf("relabeling saved too little: moved %d vs naive %d",
-			rerun.PriorDiff.Moved, rerun.PriorNaiveDiff.Moved)
-	}
-	t.Logf("prior moved=%d naive=%d total=%d", rerun.PriorDiff.Moved, rerun.PriorNaiveDiff.Moved, rerun.PriorDiff.Total)
-}
-
-// TestWarmRerunRefinesPrior: with Warm set and a Prior deployed, the
-// pipeline must take the refine-only path (Mode "warm"), keep every tuple
-// assigned, and move far fewer tuples than the partitioner's raw labels
-// would — the offline face of the live loop's warm-start cycles.
-func TestWarmRerunRefinesPrior(t *testing.T) {
-	w := workloads.TPCC(workloads.TPCCConfig{
-		Warehouses: 4, Customers: 20, Items: 120, InitialOrders: 8, Txns: cut(3000, 1500), Seed: 9,
-	})
-	first := runPipeline(t, w, 4, Options{Seed: 7})
-	if first.Mode != "full" {
-		t.Fatalf("initial run mode %q, want full", first.Mode)
-	}
-
-	rerun, err := Run(Input{
-		Trace:      w.Trace,
-		Resolver:   w.Resolver(),
-		KeyColumns: w.KeyColumns,
-		DB:         w.DB,
-		Prior:      first.Assignments,
-		Warm:       true,
-	}, Options{Partitions: 4, Seed: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rerun.Mode != "warm" {
-		t.Fatalf("warm rerun mode %q, want warm", rerun.Mode)
-	}
-	if rerun.PriorDiff.Total == 0 {
-		t.Fatal("prior diff not computed")
-	}
-	for id, parts := range rerun.Assignments {
-		if len(parts) == 0 {
-			t.Fatalf("tuple %v left unassigned by the warm rerun", id)
-		}
-	}
-	// Refining the deployed placement on the same workload should barely
-	// move anything.
-	if frac := rerun.PriorDiff.MovedFrac(); frac > 0.2 {
-		t.Fatalf("warm rerun moved %.0f%% of tuples; refine-only should stay near the prior", 100*frac)
-	}
-	t.Logf("warm moved=%d naive=%d total=%d", rerun.PriorDiff.Moved, rerun.PriorNaiveDiff.Moved, rerun.PriorDiff.Total)
-}

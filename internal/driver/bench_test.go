@@ -5,12 +5,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"schism/internal/obs"
 )
 
 // BenchmarkHistRecord measures the latency-recording hot path: one
 // atomic bucket increment plus summary updates, no allocation.
 func BenchmarkHistRecord(b *testing.B) {
-	h := &Hist{}
+	h := &obs.Hist{}
 	rng := rand.New(rand.NewSource(1))
 	vals := make([]time.Duration, 1024)
 	for i := range vals {
@@ -26,7 +28,7 @@ func BenchmarkHistRecord(b *testing.B) {
 // BenchmarkHistRecordParallel measures sharded recording under
 // contention-free parallel writers (one shard per goroutine).
 func BenchmarkHistRecordParallel(b *testing.B) {
-	s := NewSharded(64)
+	s := obs.NewSharded(64)
 	var next atomic.Int64
 	b.ReportAllocs()
 	b.RunParallel(func(pb *testing.PB) {
@@ -41,7 +43,7 @@ func BenchmarkHistRecordParallel(b *testing.B) {
 // BenchmarkHistQuantile measures the read side: a full cumulative walk
 // over the bucket array.
 func BenchmarkHistQuantile(b *testing.B) {
-	h := &Hist{}
+	h := &obs.Hist{}
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 100000; i++ {
 		h.Record(time.Duration(rng.Int63n(int64(10 * time.Second))))

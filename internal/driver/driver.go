@@ -1,3 +1,11 @@
+// Package driver is the end-to-end benchmark harness: it drives a
+// cluster.Coordinator with concurrent closed-loop (or open-loop,
+// fixed-arrival-rate) clients executing transactions drawn from
+// deterministic per-client streams, and reports throughput, latency
+// percentiles, distributed-transaction and abort rates, and per-node
+// load imbalance. This is the measurement surface behind the paper's
+// headline claim: fewer distributed transactions means higher TPS
+// (§3, §6.3).
 package driver
 
 import (
@@ -9,6 +17,7 @@ import (
 	"time"
 
 	"schism/internal/cluster"
+	"schism/internal/obs"
 )
 
 // Op is one logical client transaction drawn from a Stream. Every random
@@ -105,8 +114,8 @@ type Result struct {
 
 	// Latency is the merged transaction-commit latency histogram;
 	// StmtLatency the per-statement one.
-	Latency     *Hist
-	StmtLatency *Hist
+	Latency     *obs.Hist
+	StmtLatency *obs.Hist
 
 	// NodeOps is the number of statements each node executed during the
 	// measurement phase.
@@ -231,8 +240,8 @@ func (r *Result) String() string {
 // permanent failures are counted and skipped.
 func Run(co *cluster.Coordinator, cfg Config, mk StreamMaker) *Result {
 	cfg = cfg.withDefaults()
-	lat := NewSharded(cfg.HistShards)
-	stmtLat := NewSharded(cfg.HistShards)
+	lat := obs.NewSharded(cfg.HistShards)
+	stmtLat := obs.NewSharded(cfg.HistShards)
 
 	var (
 		committed   atomic.Int64

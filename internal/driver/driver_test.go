@@ -382,10 +382,11 @@ func TestDriverMoneyConservationUnderMigration(t *testing.T) {
 			ids = append(ids, workload.TupleID{Table: "account", Key: int64(k)})
 			target = append(target, []int{1})
 		}
-		plan := live.BuildPlan(ids, func(id workload.TupleID) []int {
-			p, _ := tables["account"].Locate(id.Key)
-			return p
-		}, target)
+		old := make([][]int, len(ids))
+		for i, id := range ids {
+			old[i], _ = tables["account"].Locate(id.Key)
+		}
+		plan := live.BuildPlanSets(ids, old, target)
 		migDone <- exec.Apply(plan)
 	}()
 

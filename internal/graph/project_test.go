@@ -16,7 +16,7 @@ func locateFrom(m map[workload.TupleID][]int) func(workload.TupleID) []int {
 }
 
 func TestProjectLabelsDeployedPlacement(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	deployed := map[workload.TupleID][]int{
 		acct(1): {0}, acct(2): {0}, acct(3): {1}, acct(4): {1}, acct(5): {1},
 	}
@@ -30,7 +30,7 @@ func TestProjectLabelsDeployedPlacement(t *testing.T) {
 }
 
 func TestProjectLabelsSpreadsReplicaSets(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{Replication: true}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{Replication: true}))
 	id1 := acct(1)
 	deployed := map[workload.TupleID][]int{
 		id1: {0, 2}, acct(2): {1}, acct(3): {1}, acct(4): {1}, acct(5): {1},
@@ -40,6 +40,9 @@ func TestProjectLabelsSpreadsReplicaSets(t *testing.T) {
 	base := g.groupBase[gi]
 	if parts[base] != 0 {
 		t.Errorf("centre of tuple 1 projected to %d, want 0 (set[0])", parts[base])
+	}
+	if g.numReplicas(gi) == 0 {
+		t.Fatal("tuple 1 was not exploded into replicas; fixture is broken")
 	}
 	// Replicas must round-robin over the deployed set {0, 2}.
 	for ri := 0; ri < g.numReplicas(gi); ri++ {
@@ -51,7 +54,7 @@ func TestProjectLabelsSpreadsReplicaSets(t *testing.T) {
 }
 
 func TestProjectLabelsPluralityNeighborFallback(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	// Tuple 5 is unseen; its neighbours (via T1: {1,2,4}, via T3: {2})
 	// all sit on partition 1, so it must land there.
 	deployed := map[workload.TupleID][]int{
@@ -65,7 +68,7 @@ func TestProjectLabelsPluralityNeighborFallback(t *testing.T) {
 }
 
 func TestProjectLabelsIgnoresOutOfRangeAndEmpty(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	// The deployed placement was computed for k=4; projecting onto k=2
 	// must treat labels >= 2 as unseen rather than crash or clamp.
 	deployed := map[workload.TupleID][]int{
@@ -92,7 +95,7 @@ func TestProjectLabelsIgnoresOutOfRangeAndEmpty(t *testing.T) {
 }
 
 func TestProjectLabelsNilLocate(t *testing.T) {
-	g := mustBuild(Build(bankTrace(), Options{}))
+	g := mustBuild(BuildHyper(bankTrace(), Options{}))
 	parts := g.ProjectLabels(2, nil)
 	for u, p := range parts {
 		if p < 0 || p >= 2 {
@@ -102,17 +105,11 @@ func TestProjectLabelsNilLocate(t *testing.T) {
 }
 
 // TestProjectLabelsDeterministicAcrossRepresentations pins determinism:
-// equal inputs give byte-identical projections, and the hypergraph and
-// clique builds of the same trace agree on pass-1 (deployed) labels.
+// equal inputs give byte-identical projections on the hypergraph build,
+// and pass 1 reproduces the deployed labels.
 func TestProjectLabelsDeterministicAcrossRepresentations(t *testing.T) {
 	deployed := map[workload.TupleID][]int{
 		acct(1): {0}, acct(2): {1}, acct(4): {1},
-	}
-	g := mustBuild(Build(bankTrace(), Options{}))
-	a := g.ProjectLabels(2, locateFrom(deployed))
-	b := g.ProjectLabels(2, locateFrom(deployed))
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("ProjectLabels not deterministic on the clique build")
 	}
 	h := mustBuild(BuildHyper(bankTrace(), Options{}))
 	ha := h.ProjectLabels(2, locateFrom(deployed))
@@ -121,13 +118,9 @@ func TestProjectLabelsDeterministicAcrossRepresentations(t *testing.T) {
 		t.Fatal("ProjectLabels not deterministic on the hypergraph build")
 	}
 	for id, want := range deployed {
-		gi := g.TupleGroup()[id]
-		if got := a[g.groupBase[gi]]; int(got) != want[0] {
-			t.Errorf("clique: tuple %v projected to %d, want %d", id, got, want[0])
-		}
 		hgi := h.TupleGroup()[id]
 		if got := ha[h.groupBase[hgi]]; int(got) != want[0] {
-			t.Errorf("hyper: tuple %v projected to %d, want %d", id, got, want[0])
+			t.Errorf("tuple %v projected to %d, want %d", id, got, want[0])
 		}
 	}
 }

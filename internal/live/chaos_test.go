@@ -121,10 +121,7 @@ func TestMigrationSurvivesCopyCrashes(t *testing.T) {
 		ids = append(ids, workload.TupleID{Table: "account", Key: k})
 		toSets = append(toSets, []int{1})
 	}
-	mplan := BuildPlan(ids, func(id workload.TupleID) []int {
-		p, _ := tables["account"].Locate(id.Key)
-		return p
-	}, toSets)
+	mplan := BuildPlanSets(ids, deployedSets(tables, ids), toSets)
 	stats := exec.Apply(mplan)
 
 	close(stop)
@@ -199,14 +196,8 @@ func TestMigrationFailsBatchCleanlyWhileNodeDown(t *testing.T) {
 	exec := NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
 
 	c.Crash(1)
-	mplan := BuildPlan(
-		[]workload.TupleID{{Table: "account", Key: 0}, {Table: "account", Key: 2}},
-		func(id workload.TupleID) []int {
-			p, _ := tables["account"].Locate(id.Key)
-			return p
-		},
-		[][]int{{1}, {1}},
-	)
+	ids := []workload.TupleID{{Table: "account", Key: 0}, {Table: "account", Key: 2}}
+	mplan := BuildPlanSets(ids, deployedSets(tables, ids), [][]int{{1}, {1}})
 	start := time.Now()
 	stats := exec.Apply(mplan)
 	if d := time.Since(start); d > 500*time.Millisecond {
@@ -225,14 +216,7 @@ func TestMigrationFailsBatchCleanlyWhileNodeDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Whole again: the same plan now applies fully.
-	mplan = BuildPlan(
-		[]workload.TupleID{{Table: "account", Key: 0}, {Table: "account", Key: 2}},
-		func(id workload.TupleID) []int {
-			p, _ := tables["account"].Locate(id.Key)
-			return p
-		},
-		[][]int{{1}, {1}},
-	)
+	mplan = BuildPlanSets(ids, deployedSets(tables, ids), [][]int{{1}, {1}})
 	if stats := exec.Apply(mplan); stats.Moved != 2 || stats.FailedBatches != 0 {
 		t.Fatalf("stats after restart = %v, want 2 clean moves", stats)
 	}

@@ -239,7 +239,8 @@ func (c *Controller) Tick() (*Adaptation, error) {
 	ad.After = ScoreWindow(snap, c.cfg.K, c.Locate)
 	// Re-baseline only after a full cut: warm refinements keep the last
 	// full cut's baseline, so gradual degradation across consecutive warm
-	// cycles accumulates drift until DriftCutThreshold forces the escape.
+	// cycles accumulates drift until the drift cut threshold forces the
+	// escape.
 	if rep.Mode == ModeFull {
 		c.det.SetBaseline(ad.After)
 	}

@@ -134,7 +134,7 @@ func (d *Detector) Baseline() (Score, bool) { return d.baseline, d.hasBase }
 // when there is no baseline yet or the window is below minimum. It takes
 // the worse of the distributed-fraction ratio (baseline floored at
 // DistributedFloor so a near-perfect baseline doesn't explode the ratio)
-// and the imbalance ratio. The repartitioner's DriftCutThreshold consumes
+// and the imbalance ratio. The repartitioner's drift cut threshold consumes
 // it to escape warm-start cycles on large workload shifts.
 func (d *Detector) Drift(s Score) float64 {
 	if !d.hasBase || s.Txns < d.cfg.MinWindow {

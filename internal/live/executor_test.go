@@ -61,23 +61,27 @@ func countRows(c *cluster.Cluster, node int) int {
 	return n
 }
 
+// deployedSets resolves each tuple's replica set through the deployed
+// routing tables: the old sets BuildPlanSets diffs against.
+func deployedSets(tables map[string]*SyncTable, ids []workload.TupleID) [][]int {
+	sets := make([][]int, len(ids))
+	for i, id := range ids {
+		sets[i], _ = tables[id.Table].Locate(id.Key)
+	}
+	return sets
+}
+
 func TestExecutorMovesTuplesAndFlipsRouting(t *testing.T) {
 	c, co, tables := newMigrationCluster(t, 2, 10)
 	defer c.Close()
 	exec := NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
 
 	// Move every even key (node 0) to node 1; replicate key 1 on both.
-	plan := BuildPlan(
-		[]workload.TupleID{
-			{Table: "account", Key: 0}, {Table: "account", Key: 2},
-			{Table: "account", Key: 4}, {Table: "account", Key: 1},
-		},
-		func(id workload.TupleID) []int {
-			p, _ := tables["account"].Locate(id.Key)
-			return p
-		},
-		[][]int{{1}, {1}, {1}, {0, 1}},
-	)
+	ids := []workload.TupleID{
+		{Table: "account", Key: 0}, {Table: "account", Key: 2},
+		{Table: "account", Key: 4}, {Table: "account", Key: 1},
+	}
+	plan := BuildPlanSets(ids, deployedSets(tables, ids), [][]int{{1}, {1}, {1}, {0, 1}})
 	if len(plan.Moves) != 4 || plan.Copies != 4 || plan.Drops != 3 {
 		t.Fatalf("plan = %+v", plan)
 	}
@@ -172,14 +176,8 @@ func TestExecutorMovesTuplesOnReplicatedCluster(t *testing.T) {
 
 	exec := NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
 	// Move keys 0 and 2 from group 0 to group 1.
-	plan := BuildPlan(
-		[]workload.TupleID{{Table: "account", Key: 0}, {Table: "account", Key: 2}},
-		func(id workload.TupleID) []int {
-			p, _ := tables["account"].Locate(id.Key)
-			return p
-		},
-		[][]int{{1}, {1}},
-	)
+	ids := []workload.TupleID{{Table: "account", Key: 0}, {Table: "account", Key: 2}}
+	plan := BuildPlanSets(ids, deployedSets(tables, ids), [][]int{{1}, {1}})
 	stats := exec.Apply(plan)
 	if stats.Moved != 2 || stats.Skipped != 0 || stats.FailedBatches != 0 {
 		t.Fatalf("stats = %v", stats)
@@ -225,14 +223,8 @@ func TestExecutorSkipsVanishedTuples(t *testing.T) {
 		t.Fatal(err)
 	}
 	exec := NewExecutor(co, map[string]*storage.TableSchema{"account": accountSchema()}, tables)
-	plan := BuildPlan(
-		[]workload.TupleID{{Table: "account", Key: 0}, {Table: "account", Key: 2}},
-		func(id workload.TupleID) []int {
-			p, _ := tables["account"].Locate(id.Key)
-			return p
-		},
-		[][]int{{1}, {1}},
-	)
+	ids := []workload.TupleID{{Table: "account", Key: 0}, {Table: "account", Key: 2}}
+	plan := BuildPlanSets(ids, deployedSets(tables, ids), [][]int{{1}, {1}})
 	stats := exec.Apply(plan)
 	if stats.Moved != 1 || stats.Skipped != 1 {
 		t.Fatalf("stats = %v", stats)
@@ -293,10 +285,7 @@ func TestExecutorUnderTraffic(t *testing.T) {
 		ids = append(ids, workload.TupleID{Table: "account", Key: int64(k)})
 		target = append(target, []int{1})
 	}
-	plan := BuildPlan(ids, func(id workload.TupleID) []int {
-		p, _ := tables["account"].Locate(id.Key)
-		return p
-	}, target)
+	plan := BuildPlanSets(ids, deployedSets(tables, ids), target)
 	stats := exec.Apply(plan)
 	close(stop)
 	wg.Wait()

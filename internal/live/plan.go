@@ -28,24 +28,14 @@ type Plan struct {
 	Drops  int
 }
 
-// BuildPlan diffs the deployed placement against a new assignment:
-// tuples[i] gets replica set newSets[i]. Tuples whose deployed set is
-// unknown (locate returns nil — new tuples that float with their
+// BuildPlanSets diffs the deployed placement against a new assignment:
+// tuples[i] moves from replica set oldSets[i] to newSets[i]. Tuples whose
+// deployed set is unknown (nil — new tuples that float with their
 // transactions) are left alone: their rows live wherever they were
-// created, and only the routing layer knows nothing either way.
-func BuildPlan(tuples []workload.TupleID, locate LocateFunc, newSets [][]int) Plan {
-	oldSets := make([][]int, len(tuples))
-	for i, id := range tuples {
-		oldSets[i] = locate(id)
-	}
-	return BuildPlanSets(tuples, oldSets, newSets)
-}
-
-// BuildPlanSets is BuildPlan over pre-resolved deployed sets: oldSets[i]
-// is tuples[i]'s deployed replica set, nil when unknown. A Repartition
-// already resolved every windowed tuple once for its movement diff and
-// exposes the result as Deployed; planning from it skips a second
-// per-tuple map pass over the whole window.
+// created, and only the routing layer knows nothing either way. A
+// Repartition already resolved every windowed tuple once for its
+// movement diff and exposes the result as Deployed, so callers plan from
+// it without a second per-tuple placement lookup.
 func BuildPlanSets(tuples []workload.TupleID, oldSets, newSets [][]int) Plan {
 	var p Plan
 	for i, id := range tuples {

@@ -23,28 +23,25 @@ type RepartitionConfig struct {
 	// + connectivity-metric partitioning) instead of the clique expansion;
 	// EdgeCut then reports the connectivity cost.
 	Hyper bool
-	// NaiveLabels disables the minimal-movement relabeling (ablation: use
-	// the partitioner's raw labels).
-	NaiveLabels bool
 	// WarmStart enables refine-only cycles: when a deployed placement
-	// exists, project it onto the new window's graph (graph.ProjectLabels)
-	// and run boundary-restricted refinement (metis.RefineKway/RefineHKway)
-	// instead of the full multilevel cut. Steady-state cycles then skip
-	// coarsening entirely — ROADMAP item 5's warm-start lever.
+	// exists, project it onto the new window's hypergraph
+	// (graph.ProjectLabels) and run boundary-restricted refinement
+	// (metis.RefineHKway) instead of the full multilevel cut. Steady-state
+	// cycles then skip coarsening entirely. Requires Hyper.
 	WarmStart bool
 	// FullCutEveryN forces a periodic full multilevel cut after every N-1
 	// consecutive warm cycles, the backstop against refine-only runs
 	// settling into a local minimum the full pipeline would escape. Zero
 	// means the default (16); negative disables periodic full cuts.
 	FullCutEveryN int
-	// DriftCutThreshold escapes straight to a full cut when the caller's
-	// drift measurement (Detector.Drift: degradation ratio vs the
-	// post-deployment baseline, ~1 when healthy) reaches this value —
-	// large workload shifts get the full pipeline immediately instead of
-	// waiting out the periodic backstop. Zero means the default (3);
-	// negative disables the escape hatch.
-	DriftCutThreshold float64
 }
+
+// driftCutThreshold escapes straight to a full cut when the caller's
+// drift measurement (Detector.Drift: degradation ratio vs the
+// post-deployment baseline, ~1 when healthy) reaches it — large workload
+// shifts get the full pipeline immediately instead of waiting out the
+// periodic backstop.
+const driftCutThreshold = 3
 
 // ConfigError reports an invalid RepartitionConfig field. Both
 // constructors validate up front and return it typed, so a bad
@@ -66,6 +63,10 @@ func (c RepartitionConfig) Validate() error {
 		return &ConfigError{Field: "K",
 			Reason: fmt.Sprintf("%d partitions (must be >= 1)", c.K)}
 	}
+	if c.WarmStart && !c.Hyper {
+		return &ConfigError{Field: "WarmStart",
+			Reason: "warm-start refinement runs on the hypergraph (set Hyper)"}
+	}
 	return c.Graph.Validate()
 }
 
@@ -73,9 +74,6 @@ func (c RepartitionConfig) Validate() error {
 func (c RepartitionConfig) withDefaults() RepartitionConfig {
 	if c.FullCutEveryN == 0 {
 		c.FullCutEveryN = 16
-	}
-	if c.DriftCutThreshold == 0 {
-		c.DriftCutThreshold = 3
 	}
 	return c
 }
@@ -105,8 +103,8 @@ type Repartition struct {
 	// (relabeled) replica set of Tuples[i].
 	Tuples      []workload.TupleID
 	Assignments [][]int
-	// Perm is the applied new→old label permutation (identity under
-	// NaiveLabels).
+	// Perm is the applied new→old label permutation (identity when there
+	// is no deployed placement).
 	Perm []int
 	// Cycle is this run's index in the repartitioner's lifetime, and
 	// SampleSeed the sampling seed derived from it: cycleSeed(base, Cycle).
@@ -182,7 +180,7 @@ func NewRepartitioner(cfg RepartitionConfig) (*Repartitioner, error) {
 // chooseMode implements the drift-gated warm-start policy. Warm cycles
 // need the feature enabled and a deployed placement to project; a full
 // cut is forced periodically (FullCutEveryN) and immediately when the
-// measured drift reaches DriftCutThreshold.
+// measured drift reaches driftCutThreshold.
 func (r *Repartitioner) chooseMode(locate LocateFunc, drift float64) CycleMode {
 	if !r.cfg.WarmStart || locate == nil {
 		return ModeFull
@@ -190,7 +188,7 @@ func (r *Repartitioner) chooseMode(locate LocateFunc, drift float64) CycleMode {
 	if r.cfg.FullCutEveryN > 0 && r.sinceFull >= r.cfg.FullCutEveryN-1 {
 		return ModeFull
 	}
-	if r.cfg.DriftCutThreshold > 0 && drift >= r.cfg.DriftCutThreshold {
+	if drift >= driftCutThreshold {
 		return ModeFull
 	}
 	return ModeWarm
@@ -234,17 +232,11 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 	var cut int64
 	if mode == ModeWarm {
 		parts = g.ProjectLabels(r.cfg.K, locate)
-		if r.cfg.Hyper {
-			cut, err = r.solver.RefineHKway(g.HG, r.cfg.K, parts, r.cfg.Metis)
-		} else {
-			cut, err = r.solver.RefineKway(g.CSR, r.cfg.K, parts, r.cfg.Metis)
-		}
+		cut, err = r.solver.RefineHKway(g.HG, r.cfg.K, parts, r.cfg.Metis)
+	} else if r.cfg.Hyper {
+		parts, cut, err = r.solver.PartHKway(g.HG, r.cfg.K, r.cfg.Metis)
 	} else {
-		if r.cfg.Hyper {
-			parts, cut, err = r.solver.PartHKway(g.HG, r.cfg.K, r.cfg.Metis)
-		} else {
-			parts, cut, err = r.solver.PartKway(g.CSR, r.cfg.K, r.cfg.Metis)
-		}
+		parts, cut, err = r.solver.PartKway(g.CSR, r.cfg.K, r.cfg.Metis)
 	}
 	if err != nil {
 		return nil, err
@@ -271,7 +263,7 @@ func (r *Repartitioner) RepartitionDrift(tr *workload.Trace, locate LocateFunc, 
 
 	phase = time.Now()
 	perm := identityPerm(r.cfg.K)
-	if !r.cfg.NaiveLabels && locate != nil {
+	if locate != nil {
 		perm = partition.RelabelMap(oldSets, newSets, r.cfg.K)
 	}
 	if isIdentityPerm(perm) {

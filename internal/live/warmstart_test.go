@@ -27,8 +27,9 @@ func TestWarmRepartitionDeterministic(t *testing.T) {
 		Graph: graph.Options{Coalesce: true, Seed: 9},
 		Metis: metis.Options{Seed: 7},
 		Hyper: true,
-		// Force every post-deployment cycle down the warm path.
-		WarmStart: true, FullCutEveryN: -1, DriftCutThreshold: -1,
+		// Force every post-deployment cycle down the warm path (drift 1
+		// stays below the escape threshold).
+		WarmStart: true, FullCutEveryN: -1,
 	}
 
 	const cycles = 3
@@ -74,7 +75,7 @@ func TestWarmRepartitionDeterministic(t *testing.T) {
 }
 
 // TestDriftEscapeFullCut checks the policy's escape hatch end to end: a
-// hotspot shift whose drift measurement clears DriftCutThreshold abandons
+// hotspot shift whose drift measurement clears driftCutThreshold abandons
 // the warm path for a full cut whose quality matches a from-scratch
 // partitioning of the shifted window, and the escape resets the periodic
 // backstop so the next quiet cycle is warm again.
@@ -91,7 +92,7 @@ func TestDriftEscapeFullCut(t *testing.T) {
 		Graph: graph.Options{Coalesce: true, Seed: 7},
 		Metis: metis.Options{Seed: 7},
 		Hyper: true,
-		// Defaults: FullCutEveryN 16, DriftCutThreshold 3.
+		// Defaults: FullCutEveryN 16; the drift escape is fixed at 3.
 		WarmStart: true,
 	}
 	rep := mustRep(t, cfg)
@@ -117,7 +118,7 @@ func TestDriftEscapeFullCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if esc.Mode != ModeFull {
-		t.Fatalf("shifted cycle mode %s, want %s above DriftCutThreshold", esc.Mode, ModeFull)
+		t.Fatalf("shifted cycle mode %s, want %s above driftCutThreshold", esc.Mode, ModeFull)
 	}
 
 	scratch, err := mustRep(t, RepartitionConfig{
@@ -220,16 +221,17 @@ func TestRepartitionDiffSinglePass(t *testing.T) {
 			res.NaiveDiff.Moved, res.Diff.Moved)
 	}
 
-	// The NaiveLabels ablation takes the identity shortcut: one diff, two
-	// names.
-	ncfg := cfg
-	ncfg.NaiveLabels = true
-	nres, err := mustRep(t, ncfg).Repartition(w.Trace, locate)
+	// A deployment equal to the fresh cut relabels to the identity and
+	// takes the shortcut: one diff, two names, nothing moved.
+	same, err := mustRep(t, cfg).Repartition(w.Trace, initial.LocateFunc())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(nres.Diff, nres.NaiveDiff) {
-		t.Fatal("NaiveLabels run's Diff differs from its NaiveDiff")
+	if !isIdentityPerm(same.Perm) {
+		t.Fatalf("redeploying the same cut relabeled with %v, want the identity", same.Perm)
+	}
+	if !reflect.DeepEqual(same.Diff, same.NaiveDiff) || same.Diff.Moved != 0 {
+		t.Fatalf("identity relabel: Diff %+v, NaiveDiff %+v", same.Diff, same.NaiveDiff)
 	}
 }
 
@@ -263,8 +265,8 @@ func TestLocateFuncMemoized(t *testing.T) {
 }
 
 // TestRepartitionConfigRejectsBadK covers the typed validation on both
-// constructors: a non-positive partition count fails at wiring time with
-// a *ConfigError naming the field.
+// constructors: a non-positive partition count, or warm start without the
+// hypergraph, fails at wiring time with a *ConfigError naming the field.
 func TestRepartitionConfigRejectsBadK(t *testing.T) {
 	for _, k := range []int{0, -4} {
 		_, err := NewRepartitioner(RepartitionConfig{K: k})
@@ -278,4 +280,86 @@ func TestRepartitionConfigRejectsBadK(t *testing.T) {
 			t.Fatalf("NewController(K=%d) error = %v, want *ConfigError on K", k, err)
 		}
 	}
+	// Warm-start refinement runs on the hypergraph only.
+	_, err := NewRepartitioner(RepartitionConfig{K: 4, WarmStart: true})
+	var ce *ConfigError
+	if !errors.As(err, &ce) || ce.Field != "WarmStart" {
+		t.Fatalf("NewRepartitioner(WarmStart without Hyper) error = %v, want *ConfigError on WarmStart", err)
+	}
+	if _, err := NewRepartitioner(RepartitionConfig{K: 4, Hyper: true, WarmStart: true}); err != nil {
+		t.Fatalf("NewRepartitioner(Hyper, WarmStart) = %v, want nil", err)
+	}
+}
+
+// shortOr returns full, or short under go test -short.
+func shortOr(full, short int) int {
+	if testing.Short() {
+		return short
+	}
+	return full
+}
+
+// TestRelabelMinimisesMovement: a full cut under a new partitioner seed,
+// relabeled against the first cut's deployment, must move far fewer
+// tuples than the partitioner's raw labels would.
+func TestRelabelMinimisesMovement(t *testing.T) {
+	w := workloads.TPCC(workloads.TPCCConfig{
+		Warehouses: 4, Customers: 20, Items: 120, InitialOrders: 8, Txns: shortOr(3000, 1500), Seed: 9,
+	})
+	cfg := RepartitionConfig{K: 4, Graph: graph.Options{Replication: true, Seed: 7}, Metis: metis.Options{Seed: 7}}
+	first, err := mustRep(t, cfg).Repartition(w.Trace, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Metis.Seed = 8 // new seed: labels come out shuffled
+	rerun, err := mustRep(t, cfg).Repartition(w.Trace, first.LocateFunc())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerun.Diff.Total == 0 {
+		t.Fatal("movement diff not computed")
+	}
+	if rerun.Diff.Moved > rerun.NaiveDiff.Moved/2 {
+		t.Fatalf("relabeling saved too little: moved %d vs naive %d", rerun.Diff.Moved, rerun.NaiveDiff.Moved)
+	}
+	t.Logf("moved=%d naive=%d total=%d", rerun.Diff.Moved, rerun.NaiveDiff.Moved, rerun.Diff.Total)
+}
+
+// TestWarmCycleRefinesDeployedPlacement: a warm cycle on the window the
+// deployment was cut from must take the refine-only path, keep every
+// tuple assigned, and barely move anything.
+func TestWarmCycleRefinesDeployedPlacement(t *testing.T) {
+	w := workloads.TPCC(workloads.TPCCConfig{
+		Warehouses: 4, Customers: 20, Items: 120, InitialOrders: 8, Txns: shortOr(3000, 1500), Seed: 9,
+	})
+	rep := mustRep(t, RepartitionConfig{
+		K: 4, Graph: graph.Options{Replication: true, Seed: 7}, Metis: metis.Options{Seed: 7},
+		Hyper: true, WarmStart: true,
+	})
+	first, err := rep.Repartition(w.Trace, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Mode != ModeFull {
+		t.Fatalf("initial cycle mode %s, want %s", first.Mode, ModeFull)
+	}
+	rerun, err := rep.RepartitionDrift(w.Trace, first.LocateFunc(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rerun.Mode != ModeWarm {
+		t.Fatalf("rerun mode %s, want %s", rerun.Mode, ModeWarm)
+	}
+	if rerun.Diff.Total == 0 {
+		t.Fatal("movement diff not computed")
+	}
+	for i, set := range rerun.Assignments {
+		if len(set) == 0 {
+			t.Fatalf("tuple %v left unassigned by the warm cycle", rerun.Tuples[i])
+		}
+	}
+	if frac := float64(rerun.Diff.Moved) / float64(rerun.Diff.Total); frac >= 0.2 {
+		t.Fatalf("warm cycle moved %.0f%% of tuples; refine-only should stay near the deployment", 100*frac)
+	}
+	t.Logf("moved=%d naive=%d total=%d", rerun.Diff.Moved, rerun.NaiveDiff.Moved, rerun.Diff.Total)
 }

@@ -2,8 +2,8 @@ package lookup
 
 // Fuzz harness for Set/Locate equivalence: an arbitrary op stream decoded
 // from the fuzz input is applied to every exact table representation
-// (HashIndex as the oracle; Compact, Runs, BitArray as implementations
-// under test) and to a Compress'd snapshot, and all must agree on every
+// (HashIndex as the oracle; Compact and Runs as implementations under
+// test) and to a Compress'd snapshot, and all must agree on every
 // touched key and its neighbourhood.
 
 import (
@@ -69,9 +69,8 @@ func FuzzTableEquivalence(f *testing.F) {
 		}
 		oracle := NewHashIndex()
 		impls := map[string]Table{
-			"compact":  NewCompact(),
-			"runs":     NewRuns(),
-			"bitarray": NewBitArray(4096),
+			"compact": NewCompact(),
+			"runs":    NewRuns(),
 		}
 		for i, key := range keys {
 			oracle.Set(key, sets[i])

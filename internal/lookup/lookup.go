@@ -1,16 +1,13 @@
-// Package lookup implements the physical lookup-table designs the paper
-// evaluates for fine-grained (per-tuple) partitioning (§4.2, App. C.1) —
-// a hash index, a dense bit-array (one byte per tuple id), and
-// per-partition Bloom filters that trade memory for false-positive
-// routing — plus the compressed representations the deployment actually
-// routes through: Compact (dense set-dictionary ids, 1–2 bytes per tuple)
-// and Runs (run-length intervals for range-clustered keys), bundled per
-// table behind Router (router.go), which picks the smallest encoding.
+// Package lookup implements the lookup tables for fine-grained
+// (per-tuple) partitioning (§4.2, App. C.1): a hash index, plus the
+// compressed representations the deployment actually routes through —
+// Compact (dense set-dictionary ids, 1–2 bytes per tuple) and Runs
+// (run-length intervals for range-clustered keys), bundled per table
+// behind Router (router.go), which picks the smallest encoding.
 package lookup
 
 import (
 	"fmt"
-	"math"
 	"sort"
 )
 
@@ -21,8 +18,6 @@ type Table interface {
 	// Locate returns the replica set for a key; ok=false when the key is
 	// unknown (the caller applies its default policy, e.g. replicate-
 	// everywhere for read-mostly workloads as in the Epinions experiment).
-	// Bloom-filter tables may return supersets (false positives), never
-	// subsets.
 	Locate(key int64) (parts []int, ok bool)
 	// MemoryBytes estimates the table's resident size, the metric that
 	// drives the paper's "1 byte per tuple id" capacity analysis.
@@ -99,188 +94,6 @@ func (h *HashIndex) Range(f func(key int64, parts []int) bool) {
 			return
 		}
 	}
-}
-
-// BitArray stores one byte per key for dense integer keys in [0, n): the
-// paper's "16 GB coordinator routes 15 billion tuples" design. Replica
-// sets and out-of-range keys spill to a sparse side map.
-type BitArray struct {
-	parts    []uint8 // 0xFF = not set, 0xFE = see special
-	special  map[int64][]int
-	numSet   int
-	capacity int64
-}
-
-const (
-	baUnset   = 0xFF
-	baSpecial = 0xFE
-)
-
-// NewBitArray returns a bit-array lookup table for keys in [0, capacity).
-func NewBitArray(capacity int64) *BitArray {
-	b := &BitArray{
-		parts:    make([]uint8, capacity),
-		special:  make(map[int64][]int),
-		capacity: capacity,
-	}
-	for i := range b.parts {
-		b.parts[i] = baUnset
-	}
-	return b
-}
-
-// Set records the replica set for key.
-func (b *BitArray) Set(key int64, parts []int) {
-	parts = normalise(parts)
-	if key < 0 || key >= b.capacity {
-		b.special[key] = parts
-		return
-	}
-	if b.parts[key] == baUnset {
-		b.numSet++
-	}
-	if len(parts) == 1 && parts[0] < int(baSpecial) {
-		delete(b.special, key)
-		b.parts[key] = uint8(parts[0])
-		return
-	}
-	b.parts[key] = baSpecial
-	b.special[key] = parts
-}
-
-// Locate returns the replica set for key.
-func (b *BitArray) Locate(key int64) ([]int, bool) {
-	if key < 0 || key >= b.capacity {
-		p, ok := b.special[key]
-		return p, ok
-	}
-	switch b.parts[key] {
-	case baUnset:
-		return nil, false
-	case baSpecial:
-		p, ok := b.special[key]
-		return p, ok
-	default:
-		return []int{int(b.parts[key])}, true
-	}
-}
-
-// MemoryBytes is dominated by the dense byte array.
-func (b *BitArray) MemoryBytes() int64 {
-	var side int64
-	for _, s := range b.special {
-		side += 24 + int64(8*len(s))
-	}
-	return b.capacity + side
-}
-
-// Bloom routes via one Bloom filter per partition: Locate returns every
-// partition whose filter matches, which may include false positives (the
-// paper: extra participants hurt performance, never correctness).
-type Bloom struct {
-	filters  []*bloomFilter
-	anything bool
-}
-
-// NewBloom creates a Bloom lookup table for k partitions sized for
-// expectedKeys per partition at the given false-positive rate.
-func NewBloom(k int, expectedKeys int, fpRate float64) *Bloom {
-	b := &Bloom{filters: make([]*bloomFilter, k)}
-	for i := range b.filters {
-		b.filters[i] = newBloomFilter(expectedKeys, fpRate)
-	}
-	return b
-}
-
-// Set inserts the key into the filter of every partition in parts.
-func (b *Bloom) Set(key int64, parts []int) {
-	for _, p := range parts {
-		b.filters[p].add(uint64(key))
-	}
-	b.anything = true
-}
-
-// Locate returns all partitions whose filter contains the key. ok=false
-// only when no filter matches (a definite miss).
-func (b *Bloom) Locate(key int64) ([]int, bool) {
-	var out []int
-	for p, f := range b.filters {
-		if f.contains(uint64(key)) {
-			out = append(out, p)
-		}
-	}
-	return out, len(out) > 0
-}
-
-// MemoryBytes sums the filter bit arrays.
-func (b *Bloom) MemoryBytes() int64 {
-	var total int64
-	for _, f := range b.filters {
-		total += int64(len(f.bits) * 8)
-	}
-	return total
-}
-
-type bloomFilter struct {
-	bits   []uint64
-	nbits  uint64
-	hashes int
-}
-
-func newBloomFilter(expected int, fpRate float64) *bloomFilter {
-	if expected < 1 {
-		expected = 1
-	}
-	// Standard sizing: m = -n ln p / (ln 2)^2, k = m/n ln 2.
-	m := float64(expected) * 1.44 * (-math.Log2(fpRate))
-	nbits := uint64(m)
-	if nbits < 64 {
-		nbits = 64
-	}
-	k := int(0.693*m/float64(expected) + 0.5)
-	if k < 1 {
-		k = 1
-	}
-	if k > 16 {
-		k = 16
-	}
-	return &bloomFilter{bits: make([]uint64, (nbits+63)/64), nbits: nbits, hashes: k}
-}
-
-func (f *bloomFilter) add(key uint64) {
-	h1, h2 := mix(key)
-	for i := 0; i < f.hashes; i++ {
-		bit := (h1 + uint64(i)*h2) % f.nbits
-		f.bits[bit/64] |= 1 << (bit % 64)
-	}
-}
-
-func (f *bloomFilter) contains(key uint64) bool {
-	h1, h2 := mix(key)
-	for i := 0; i < f.hashes; i++ {
-		bit := (h1 + uint64(i)*h2) % f.nbits
-		if f.bits[bit/64]&(1<<(bit%64)) == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// mix derives two independent 64-bit hashes from a key (splitmix64 round).
-func mix(x uint64) (uint64, uint64) {
-	x += 0x9e3779b97f4a7c15
-	z := x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	h1 := z ^ (z >> 31)
-	z = x + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	h2 := z ^ (z >> 31)
-	if h2 == 0 {
-		h2 = 0x9e3779b97f4a7c15
-	}
-	return h1, h2 | 1
 }
 
 // normalise sorts and deduplicates a partition set.

@@ -105,7 +105,7 @@ func (r *Router) Compress() {
 // Compress rebuilds a finished table in whichever representation —
 // run-length intervals, dense Compact slots, or the general HashIndex —
 // is estimated smallest for its contents. Tables that cannot enumerate
-// themselves (e.g. Bloom) are returned unchanged, as is any table the
+// themselves (no Ranger) are returned unchanged, as is any table the
 // estimate cannot beat.
 func Compress(t Table) Table {
 	src, ok := t.(Ranger)

@@ -16,62 +16,37 @@ func randomLabels(n, k int, seed int64) []int32 {
 	return parts
 }
 
-// TestRefineKwayImprovesRandomStart checks the warm-start entry point on
-// the clique structure the full pipeline is tested with: refining a
-// random assignment must respect the balance caps, report the true cut,
-// and strictly beat the start.
-func TestRefineKwayImprovesRandomStart(t *testing.T) {
-	for _, k := range []int{2, 4} {
-		g := cliqueGraph(k, 20)
-		n := g.NumNodes()
-		parts := randomLabels(n, k, 11)
-		startCut := g.EdgeCut(parts)
-		s := NewSolver()
-		cut, err := s.RefineKway(g, k, parts, Options{Seed: 7})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := g.EdgeCut(parts); got != cut {
-			t.Fatalf("k=%d: reported cut %d != recomputed %d", k, cut, got)
-		}
-		if cut >= startCut {
-			t.Fatalf("k=%d: refinement did not improve: %d -> %d", k, startCut, cut)
-		}
-		checkBalance(t, g, parts, k, Options{Seed: 7})
-	}
-}
-
-// TestRefineKwayPreservesGoodStart pins the steady-state contract: the
-// full partitioner's own output is a fixed point whose cut warm
+// TestRefineHKwayPreservesGoodStart pins the steady-state contract: the
+// full partitioner's own output is a fixed point whose cost warm
 // refinement never worsens.
-func TestRefineKwayPreservesGoodStart(t *testing.T) {
-	g := cliqueGraph(4, 15)
-	parts, cold, err := PartKway(g, 4, Options{Seed: 5})
+func TestRefineHKwayPreservesGoodStart(t *testing.T) {
+	h := clusterHyper(4, 15, 3)
+	parts, cold, err := PartHKway(h, 4, Options{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	warm := append([]int32(nil), parts...)
-	cut, err := NewSolver().RefineKway(g, 4, warm, Options{Seed: 9})
+	cost, err := NewSolver().RefineHKway(h, 4, warm, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cut > cold {
-		t.Fatalf("refining the full cut worsened it: %d -> %d", cold, cut)
+	if cost > cold {
+		t.Fatalf("refining the full cut worsened it: %d -> %d", cold, cost)
 	}
 }
 
-// checkBalance asserts no partition exceeds the cap RefineKway enforces.
-func checkBalance(t *testing.T, g *Graph, parts []int32, k int, opts Options) {
+// checkBalance asserts no partition exceeds the cap RefineHKway enforces.
+func checkBalance(t *testing.T, h *HGraph, parts []int32, k int, opts Options) {
 	t.Helper()
 	opts = opts.withDefaults(k)
-	total := g.TotalNodeWeight()
+	total := h.TotalNodeWeight()
 	maxPW := int64(float64(total) / float64(k) * opts.Imbalance)
 	if ceil := (total + int64(k) - 1) / int64(k); maxPW < ceil {
 		maxPW = ceil
 	}
 	pw := make([]int64, k)
 	for u, p := range parts {
-		pw[p] += g.NodeWeight(int32(u))
+		pw[p] += h.NodeWeight(int32(u))
 	}
 	for p, w := range pw {
 		if w > maxPW {
@@ -80,63 +55,20 @@ func checkBalance(t *testing.T, g *Graph, parts []int32, k int, opts Options) {
 	}
 }
 
-// TestRefineKwayDeterministicAndReusable pins the warm-start determinism
-// contract: equal (g, k, parts, opts) give byte-identical refined labels
-// whether the Solver is fresh, reused, or the pooled package-level form.
-func TestRefineKwayDeterministicAndReusable(t *testing.T) {
-	g := cliqueGraph(3, 18)
-	n := g.NumNodes()
-	initial := randomLabels(n, 3, 4)
-	opts := Options{Seed: 21}
-
-	a := append([]int32(nil), initial...)
-	cutA, err := NewSolver().RefineKway(g, 3, a, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	s := NewSolver()
-	// Dirty the solver on an unrelated problem first.
-	if _, _, err := s.PartKway(cliqueGraph(5, 9), 5, Options{Seed: 2}); err != nil {
-		t.Fatal(err)
-	}
-	b := append([]int32(nil), initial...)
-	cutB, err := s.RefineKway(g, 3, b, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	c := append([]int32(nil), initial...)
-	cutC, err := RefineKway(g, 3, c, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if cutA != cutB || cutA != cutC {
-		t.Fatalf("cuts differ across solver states: %d, %d, %d", cutA, cutB, cutC)
-	}
-	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(a, c) {
-		t.Fatal("refined labels differ across solver states")
-	}
-}
-
-// TestRefineKwayRejectsBadInput covers the typed precondition failures.
-func TestRefineKwayRejectsBadInput(t *testing.T) {
-	g := cliqueGraph(2, 5)
-	n := g.NumNodes()
-	if _, err := NewSolver().RefineKway(g, 0, make([]int32, n), Options{}); err == nil {
+// TestRefineHKwayRejectsBadInput covers the typed precondition failures.
+func TestRefineHKwayRejectsBadInput(t *testing.T) {
+	h := clusterHyper(2, 8, 1)
+	n := h.NumNodes()
+	if _, err := NewSolver().RefineHKway(h, 0, make([]int32, n), Options{}); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := NewSolver().RefineKway(g, 2, make([]int32, n-1), Options{}); err == nil {
+	if _, err := NewSolver().RefineHKway(h, 2, make([]int32, n-1), Options{}); err == nil {
 		t.Error("short label slice accepted")
 	}
 	bad := make([]int32, n)
 	bad[3] = 2
-	if _, err := NewSolver().RefineKway(g, 2, bad, Options{}); err == nil {
+	if _, err := NewSolver().RefineHKway(h, 2, bad, Options{}); err == nil {
 		t.Error("out-of-range label accepted")
-	}
-	if _, err := NewSolver().RefineHKway(clusterHyper(2, 8, 1), 2, []int32{9}, Options{}); err == nil {
-		t.Error("hypergraph short/bad labels accepted")
 	}
 }
 
@@ -150,9 +82,10 @@ func stripedLabels(n, k int) []int32 {
 	return parts
 }
 
-// TestRefineHKwayImprovesStripedStart mirrors the plain-graph check on
-// the connectivity metric. The start is balanced (striped) rather than
-// random: greedy λ−1 refinement takes only non-worsening moves, so from
+// TestRefineHKwayImprovesStripedStart checks the warm-start entry point
+// on the connectivity metric: refining a maximally cut start must respect
+// the balance caps, report the true cost, and strictly beat the start.
+// The start is balanced (striped) rather than random: greedy λ−1 refinement takes only non-worsening moves, so from
 // a balanced start the cost is monotone, but an imbalanced random start
 // can be pushed uphill by the mandatory rebalance with no FM pass to
 // climb back down (the k=2 plain-graph path has fmRefine2 for exactly
@@ -176,11 +109,13 @@ func TestRefineHKwayImprovesStripedStart(t *testing.T) {
 		if cost >= startCost {
 			t.Fatalf("k=%d: refinement did not improve: %d -> %d", k, startCost, cost)
 		}
+		checkBalance(t, h, parts, k, Options{Seed: 7})
 	}
 }
 
-// TestRefineHKwayDeterministicAndReusable is the hypergraph twin of the
-// solver-state determinism pin.
+// TestRefineHKwayDeterministicAndReusable pins the warm-start determinism
+// contract: equal (h, k, parts, opts) give byte-identical refined labels
+// whether the Solver is fresh, reused, or the pooled package-level form.
 func TestRefineHKwayDeterministicAndReusable(t *testing.T) {
 	h := clusterHyper(3, 14, 5)
 	initial := randomLabels(h.NumNodes(), 3, 8)

@@ -27,14 +27,6 @@ type Diff struct {
 	PartLoss []int
 }
 
-// MovedFrac returns Moved/Total.
-func (d Diff) MovedFrac() float64 {
-	if d.Total == 0 {
-		return 0
-	}
-	return float64(d.Moved) / float64(d.Total)
-}
-
 // AssignmentDiff compares two dense assignments over the same tuple-id
 // space: old[d] and new[d] are the replica sets (sorted, as the graph and
 // lookup layers produce them) of dense tuple d. k bounds the per-part
@@ -166,23 +158,13 @@ func RelabelMap(oldSets, newSets [][]int, k int) []int {
 	return perm
 }
 
-// ApplyRelabel rewrites a partition-label vector in place: parts[i]
-// becomes perm[parts[i]]. Labels outside [0, len(perm)) are left alone.
-func ApplyRelabel(parts []int32, perm []int) {
-	for i, p := range parts {
-		if int(p) >= 0 && int(p) < len(perm) {
-			parts[i] = int32(perm[p])
-		}
-	}
-}
-
 // RelabelAssignments applies a label permutation to a dense assignment in
 // place: every replica set s becomes {perm[p] : p ∈ s}, re-sorted so the
 // sets stay in the canonical order SetDelta expects. DenseAssignments
 // aliases one slice across all tuples of a coalesced group, so slices are
 // deduplicated by backing-array identity first — each distinct slice is
 // rewritten exactly once, never double-permuted. Labels outside
-// [0, len(perm)) are left alone, matching ApplyRelabel.
+// [0, len(perm)) are left alone.
 func RelabelAssignments(sets [][]int, perm []int) {
 	done := make(map[*int]struct{}, len(sets))
 	for _, s := range sets {

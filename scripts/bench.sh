@@ -8,11 +8,12 @@
 # trace's hypergraph — both record the shared %distributed quality
 # metric so the two pipelines stay directly comparable PR over PR), the
 # live incremental-repartitioning cycle
-# (BenchmarkLiveRepartition/{cold,warm}: the from-scratch clique
-# pipeline vs the PR-10 warm-start cycle — hypergraph build plus
-# refine-only from the projected deployed placement; the script FAILS
-# unless warm ns/op is strictly below cold, the same gate the
-# bench-smoke CI job applies), the explanation-phase decision-tree trainer
+# (BenchmarkLiveRepartition/{cold,cold-hyper,warm}: the from-scratch
+# clique and hypergraph pipelines vs the warm-start cycle — hypergraph
+# build plus refine-only from the projected deployed placement; the
+# script FAILS unless warm ns/op is strictly below both cold arms, the
+# same gate the bench-smoke CI job applies), the explanation-phase
+# decision-tree trainer
 # (BenchmarkExplain: columnar vs the seed implementation), the routing
 # hot path (BenchmarkRouterLocate: HashIndex vs the compressed Compact /
 # Runs representations, with per-table memory as table-bytes), the
@@ -93,19 +94,25 @@ END { print "\n]" }
 echo "wrote $OUT"
 
 # Warm-start gate: a warm (refine-only) live-repartitioning cycle must be
-# strictly cheaper than the cold from-scratch cycle, or the warm path has
+# strictly cheaper than both cold from-scratch cycles — the clique cut and
+# the hypergraph cut the warm policy falls back to — or the warm path has
 # regressed into repaying the full pipeline.
 awk '
-$1 ~ /^BenchmarkLiveRepartition\/cold/ { cold = $3 }
-$1 ~ /^BenchmarkLiveRepartition\/warm/ { warm = $3 }
+$1 ~ /^BenchmarkLiveRepartition\/cold(-[0-9]+)?$/       { cold = $3 }
+$1 ~ /^BenchmarkLiveRepartition\/cold-hyper(-[0-9]+)?$/ { hyper = $3 }
+$1 ~ /^BenchmarkLiveRepartition\/warm(-[0-9]+)?$/       { warm = $3 }
 END {
-    if (cold == "" || warm == "") {
-        print "bench gate: BenchmarkLiveRepartition cold/warm results missing" > "/dev/stderr"
+    if (cold == "" || hyper == "" || warm == "") {
+        print "bench gate: BenchmarkLiveRepartition cold/cold-hyper/warm results missing" > "/dev/stderr"
         exit 1
     }
     if (warm + 0 >= cold + 0) {
         printf("bench gate: warm cycle %.0f ns/op is not below cold %.0f ns/op\n", warm, cold) > "/dev/stderr"
         exit 1
     }
-    printf("bench gate: warm cycle %.0f ns/op < cold %.0f ns/op (%.1fx)\n", warm, cold, cold / warm)
+    if (warm + 0 >= hyper + 0) {
+        printf("bench gate: warm cycle %.0f ns/op is not below cold-hyper %.0f ns/op\n", warm, hyper) > "/dev/stderr"
+        exit 1
+    }
+    printf("bench gate: warm cycle %.0f ns/op < cold %.0f ns/op (%.1fx), < cold-hyper %.0f ns/op (%.1fx)\n", warm, cold, cold / warm, hyper, hyper / warm)
 }' "$TXT"
