@@ -228,8 +228,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	// Phase 4: explanation.
 	t0 = time.Now()
 	if in.Resolver != nil {
-		stats := workload.ComputeStats(train)
-		res.Range = explain(res, train, in, opts, stats)
+		res.Range = explain(res, train, in, opts)
 		if res.Range != nil && !balanced(res.Range, res.Assignments, in.Resolver, k) {
 			// §4.3 condition (ii): an explanation that funnels the load
 			// onto few partitions degrades the graph solution; discard it.
@@ -239,8 +238,11 @@ func Run(in Input, opts Options) (*Result, error) {
 	}
 	res.Timings.Explain = time.Since(t0)
 
-	// Phase 5: validation on the held-out trace.
+	// Phase 5: validation on the held-out trace, interned and resolved
+	// once and shared by every candidate.
 	t0 = time.Now()
+	tc := workload.CompactTrace(test)
+	rows := partition.ResolveRows(tc, in.Resolver)
 	candidates := []partition.Strategy{res.Lookup}
 	if res.Range != nil {
 		candidates = append(candidates, res.Range)
@@ -252,7 +254,7 @@ func Run(in Input, opts Options) (*Result, error) {
 	var chosen partition.Strategy
 	var bestFrac float64
 	for _, s := range candidates {
-		c := partition.Evaluate(test, s, in.Resolver)
+		c := partition.EvaluateCompact(tc, rows, s)
 		res.Costs[s.Name()] = c
 		if chosen == nil || c.DistributedFrac() < bestFrac {
 			chosen = s

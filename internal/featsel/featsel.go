@@ -8,6 +8,7 @@ package featsel
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"schism/internal/datum"
@@ -24,26 +25,47 @@ type TableColumn struct {
 // Frequencies counts, for every column, the number of statements whose
 // WHERE clause (or inserted column list) references it. Statements that
 // fail to parse are skipped: traces may contain vendor-specific syntax.
+// Traces repeat the same statement texts many times over, so each
+// distinct text is parsed once and its column set reused.
 func Frequencies(tr *workload.Trace) (counts map[TableColumn]int, totalStmts int) {
+	memo := make(map[string][]TableColumn)
 	counts = make(map[TableColumn]int)
 	for _, t := range tr.Txns {
 		for _, src := range t.SQL {
-			stmt, err := sqlparse.Parse(src)
-			if err != nil {
+			cols, done := memo[src]
+			if !done {
+				cols = stmtColumns(src)
+				memo[src] = cols
+			}
+			if cols == nil {
 				continue
 			}
 			totalStmts++
-			seen := make(map[TableColumn]bool)
-			for _, use := range sqlparse.WhereColumns(stmt) {
-				tc := TableColumn{Table: use.Table, Column: use.Column}
-				if !seen[tc] {
-					seen[tc] = true
-					counts[tc]++
-				}
+			for _, tc := range cols {
+				counts[tc]++
 			}
 		}
 	}
 	return counts, totalStmts
+}
+
+// stmtColumns returns the distinct columns a statement's WHERE clause (or
+// inserted column list) references, or nil when it does not parse; a
+// statement that parses but references no column gets an empty non-nil
+// slice.
+func stmtColumns(src string) []TableColumn {
+	stmt, err := sqlparse.Parse(src)
+	if err != nil {
+		return nil
+	}
+	cols := []TableColumn{}
+	for _, use := range sqlparse.WhereColumns(stmt) {
+		tc := TableColumn{Table: use.Table, Column: use.Column}
+		if !slices.Contains(cols, tc) {
+			cols = append(cols, tc)
+		}
+	}
+	return cols
 }
 
 // Frequent returns the columns of the given table used in at least minFrac

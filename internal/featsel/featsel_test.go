@@ -2,10 +2,13 @@ package featsel
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"schism/internal/datum"
+	"schism/internal/sqlparse"
 	"schism/internal/workload"
+	"schism/internal/workloads"
 )
 
 func TestFrequencies(t *testing.T) {
@@ -28,6 +31,59 @@ func TestFrequencies(t *testing.T) {
 	}
 	if counts[TableColumn{"item", "i_id"}] != 1 {
 		t.Errorf("i_id count = %d", counts[TableColumn{"item", "i_id"}])
+	}
+}
+
+// referenceFrequencies is Frequencies without memoisation: every
+// statement is parsed where it occurs.
+func referenceFrequencies(tr *workload.Trace) (map[TableColumn]int, int) {
+	counts := make(map[TableColumn]int)
+	total := 0
+	for _, t := range tr.Txns {
+		for _, src := range t.SQL {
+			stmt, err := sqlparse.Parse(src)
+			if err != nil {
+				continue
+			}
+			total++
+			seen := make(map[TableColumn]bool)
+			for _, use := range sqlparse.WhereColumns(stmt) {
+				tc := TableColumn{Table: use.Table, Column: use.Column}
+				if !seen[tc] {
+					seen[tc] = true
+					counts[tc]++
+				}
+			}
+		}
+	}
+	return counts, total
+}
+
+// TestFrequenciesMatchesReference checks the per-text memo against
+// parsing every statement, on a TPC-C trace salted with unparsable and
+// column-free statements, each repeated so the memo serves them too.
+func TestFrequenciesMatchesReference(t *testing.T) {
+	w := workloads.TPCC(workloads.TPCCConfig{
+		Warehouses: 2, Districts: 3, Customers: 10, Items: 50, InitialOrders: 3, Txns: 400, Seed: 4,
+	})
+	tr := workload.NewTrace()
+	for i, txn := range w.Trace.Txns {
+		sql := append([]string(nil), txn.SQL...)
+		switch i % 5 {
+		case 1:
+			sql = append(sql, "not valid sql !!!")
+		case 3:
+			sql = append([]string{"SELECT * FROM item", "UPSERT INTO"}, sql...)
+		}
+		tr.Add(txn.Accesses, sql...)
+	}
+	got, gotTotal := Frequencies(tr)
+	want, wantTotal := referenceFrequencies(tr)
+	if gotTotal != wantTotal || !reflect.DeepEqual(got, want) {
+		t.Fatalf("Frequencies = %d stmts %v, reference %d stmts %v", gotTotal, got, wantTotal, want)
+	}
+	if wantTotal == 0 || len(want) == 0 {
+		t.Fatal("reference counted nothing: the trace carries no SQL")
 	}
 }
 

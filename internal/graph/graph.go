@@ -21,16 +21,18 @@
 // Construction is allocation-lean and parallel (see DESIGN.md): the trace
 // is interned into dense tuple ids once, per-transaction deduplication
 // uses epoch-stamped scratch arrays instead of maps, coalescing signatures
-// are 64-bit hashes verified on collision, and edge/pin generation is
-// sharded across GOMAXPROCS goroutines over contiguous transaction ranges
-// so the merged edge list — and therefore the CSR — is byte-identical to a
-// single-threaded build.
+// are 64-bit hashes verified on collision, and each transaction's distinct
+// node list is built once, sharded across GOMAXPROCS goroutines over
+// contiguous transaction ranges, so the lists are byte-identical to a
+// single-threaded build. BuildHyper uses them as its transaction nets;
+// Build writes every CSR row straight from them, with no edge list.
 package graph
 
 import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -180,7 +182,7 @@ const (
 	flagWrite uint8 = 1 << 1
 )
 
-// maxWorkers overrides edge-generation parallelism; 0 means
+// maxWorkers overrides node-list parallelism; 0 means
 // runtime.GOMAXPROCS(0). Tests set it to check that worker count never
 // changes the built graph.
 var maxWorkers = 0
@@ -239,16 +241,37 @@ func Build(tr *workload.Trace, opts Options) (*Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Edges: transaction cliques/stars generated in parallel, replication
-	// stars appended after.
-	edges, err := g.buildEdges(c, numGroups, numTxns)
+	star := opts.TxnEdges == StarEdges
+	off, nodes, err := g.txnNodes(c, numGroups, 0, func(size []int32) error {
+		// Guard before allocating: the clique expansion is quadratic per
+		// transaction, so the raw edge count can blow past int32 CSR
+		// capacity (and any sane allocation) from a modest trace. 2×
+		// because every undirected edge becomes two directed adjacency
+		// entries; the raw count bounds the folded one.
+		var edges int64
+		for _, m := range size {
+			if m < 2 {
+				continue
+			}
+			if star {
+				edges += int64(m) - 1
+			} else {
+				edges += int64(m) * int64(m-1) / 2
+			}
+		}
+		for gi := int32(0); int(gi) < numGroups; gi++ {
+			edges += int64(g.numReplicas(gi))
+		}
+		if err := metis.CheckCSRCapacity(2 * edges); err != nil {
+			return fmt.Errorf("graph: %d clique/star edges from %d transactions: %w (sample the trace or use BuildHyper)",
+				edges, numTxns, err)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	g.CSR, err = metis.NewGraph(int(numNodes), edges, nwgt)
-	if err != nil {
-		return nil, err
-	}
+	g.CSR = g.assembleCSR(off, nodes, nwgt, numNodes, star)
 	return g, nil
 }
 
@@ -474,30 +497,27 @@ func buildCore(tr *workload.Trace, opts Options) (g *Graph, c *workload.Compact,
 	return g, c, nwgt, numNodes, numGroups, numTxns, nil
 }
 
-// buildEdges generates the transaction edges (clique or star per txn over
-// its distinct groups) sharded across workers by contiguous transaction
-// ranges, then the replication edges. Each worker counts its shard's edges
-// first, so every edge is written directly into its final slot and the
-// merged order equals the single-threaded order regardless of worker
-// count.
-func (g *Graph) buildEdges(c *workload.Compact, numGroups, numTxns int) ([]metis.BuilderEdge, error) {
+// txnNodes returns every transaction's distinct nodes in first-access
+// order, in CSR form: transaction ti's nodes are nodes[off[ti]:off[ti+1]].
+// A transaction touching fewer than two distinct groups gets an empty
+// list, since it yields neither a net nor an edge. Both passes (count,
+// then fill into final slots) are sharded across workers by contiguous
+// transaction ranges, so the lists are identical at any worker count.
+// Between the passes budget sees every list length and may refuse the
+// build before the node array is allocated. The array has room for
+// reserve more entries past its end, for the caller to append to.
+func (g *Graph) txnNodes(c *workload.Compact, numGroups int, reserve int64, budget func(size []int32) error) (off, nodes []int32, err error) {
+	numTxns := c.NumTxns()
 	workers := maxWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > numTxns {
-		workers = numTxns
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers = max(1, min(workers, numTxns))
 	chunk := (numTxns + workers - 1) / workers
 
-	star := g.Opts.TxnEdges == StarEdges
-	// One scratch array per worker, shared by both passes. Both passes
-	// revisit the same transaction indices, so each pass stamps its own
-	// epoch value (2·ti, then 2·ti+1) to keep the scratch valid without
-	// re-initialising between passes.
+	// One dedup scratch per worker, shared by both passes. Both passes
+	// revisit the same transactions, so each stamps its own epoch value
+	// (2·ti, then 2·ti+1) to keep the scratch valid without resetting it.
 	seenScratch := make([][]int32, workers)
 	for s := range seenScratch {
 		seen := make([]int32, numGroups)
@@ -506,130 +526,229 @@ func (g *Graph) buildEdges(c *workload.Compact, numGroups, numTxns int) ([]metis
 		}
 		seenScratch[s] = seen
 	}
+	sharded := func(pass func(seen []int32, lo, hi int)) {
+		var wg sync.WaitGroup
+		for s := 0; s < workers; s++ {
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				pass(seenScratch[s], s*chunk, min((s+1)*chunk, numTxns))
+			}(s)
+		}
+		wg.Wait()
+	}
 
-	// Pass 1: per-shard edge counts (deduping each transaction's groups
-	// with the epoch-stamped scratch).
-	shardCount := make([]int64, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > numTxns {
-				hi = numTxns
-			}
-			seen := seenScratch[s]
-			var total int64
-			for ti := lo; ti < hi; ti++ {
-				epoch := int32(2 * ti)
-				m := int64(0)
-				for _, e := range c.Txn(ti) {
-					gi := g.GroupOf[e&^workload.WriteBit]
-					if seen[gi] != epoch {
-						seen[gi] = epoch
-						m++
-					}
-				}
-				if m < 2 {
-					continue
-				}
-				if star {
-					total += m - 1
-				} else {
-					total += m * (m - 1) / 2
+	size := make([]int32, numTxns)
+	sharded(func(seen []int32, lo, hi int) {
+		for ti := lo; ti < hi; ti++ {
+			epoch := int32(2 * ti)
+			m := int32(0)
+			for _, e := range c.Txn(ti) {
+				gi := g.GroupOf[e&^workload.WriteBit]
+				if seen[gi] != epoch {
+					seen[gi] = epoch
+					m++
 				}
 			}
-			shardCount[s] = total
-		}(s)
+			if m >= 2 {
+				size[ti] = m
+			}
+		}
+	})
+	if err := budget(size); err != nil {
+		return nil, nil, err
 	}
-	wg.Wait()
+	var total int64
+	for _, m := range size {
+		total += int64(m)
+	}
+	if err := metis.CheckCSRCapacity(total); err != nil {
+		return nil, nil, err
+	}
+	off = make([]int32, numTxns+1)
+	for ti, m := range size {
+		off[ti+1] = off[ti] + m
+	}
+	nodes = make([]int32, total, total+reserve)
+	sharded(func(seen []int32, lo, hi int) {
+		for ti := lo; ti < hi; ti++ {
+			if size[ti] == 0 {
+				continue
+			}
+			epoch := int32(2*ti + 1)
+			w := off[ti]
+			for _, e := range c.Txn(ti) {
+				gi := g.GroupOf[e&^workload.WriteBit]
+				if seen[gi] != epoch {
+					seen[gi] = epoch
+					nodes[w] = g.nodeFor(gi, int32(ti))
+					w++
+				}
+			}
+		}
+	})
+	return off, nodes, nil
+}
 
-	shardStart := make([]int64, workers+1)
-	for s := 0; s < workers; s++ {
-		shardStart[s+1] = shardStart[s] + shardCount[s]
-	}
-	txnEdges := shardStart[workers]
-	var replEdges int64
-	for gi := 0; gi < numGroups; gi++ {
-		if g.exploded[gi] {
-			replEdges += int64(g.accCount[gi])
+// assembleCSR writes the clique/star graph's CSR straight from the
+// transaction node lists, row by row, with no intermediate edge list:
+//
+//   - a replication centre's row is its replicas, each edge weighted by
+//     the group's update count (the cost of keeping that replica in
+//     another partition);
+//   - a node only one transaction touches (every replica, and every
+//     unexploded group with a single accessor) has exactly that
+//     transaction's edges, each of weight 1, so its row is the
+//     transaction's sorted list minus itself (clique), or the hub/spokes
+//     (star), with a replica's centre edge merged in sorted position;
+//   - a node several transactions touch (replication off) gathers its
+//     neighbours through an epoch-stamped mark/weight scratch, summing
+//     the weight of pairs co-accessed more than once, and sorts them.
+//
+// Rows come out sorted by neighbour id with duplicates folded, and the
+// arrays are sized exactly, so the result equals metis.NewGraph over the
+// equivalent edge list.
+func (g *Graph) assembleCSR(off, nodes []int32, nwgt []int64, numNodes int32, star bool) *metis.Graph {
+	numTxns := len(off) - 1
+	// A star's hub is its transaction's first-accessed node; record it
+	// before the lists are sorted.
+	var hub []int32
+	if star {
+		hub = make([]int32, numTxns)
+		for ti := range hub {
+			if off[ti+1] > off[ti] {
+				hub[ti] = nodes[off[ti]]
+			}
 		}
 	}
-	// Guard before allocating: the clique expansion is quadratic per
-	// transaction, so the raw edge count can blow past int32 CSR capacity
-	// (and any sane allocation) from a modest trace. 2× because every
-	// undirected edge becomes two directed adjacency entries.
-	if err := metis.CheckCSRCapacity(2 * (txnEdges + replEdges)); err != nil {
-		return nil, fmt.Errorf("graph: %d clique/star edges from %d transactions: %w (sample the trace or use BuildHyper)",
-			txnEdges+replEdges, numTxns, err)
+	for ti := 0; ti < numTxns; ti++ {
+		slices.Sort(nodes[off[ti]:off[ti+1]])
 	}
-	edges := make([]metis.BuilderEdge, txnEdges+replEdges)
+	// edgesOf returns node u's neighbours through transaction ti, which
+	// touches u: the whole list (u itself included, callers skip it) or
+	// just the hub. degree counts them without u.
+	edgesOf := func(u, ti int32) []int32 {
+		if star && off[ti+1] > off[ti] && hub[ti] != u {
+			return hub[ti : ti+1]
+		}
+		return nodes[off[ti]:off[ti+1]]
+	}
+	degree := func(u, ti int32) int32 {
+		m := off[ti+1] - off[ti]
+		switch {
+		case m == 0:
+			return 0
+		case star && hub[ti] != u:
+			return 1
+		}
+		return m - 1
+	}
 
-	// Pass 2: each worker writes its shard's edges into place.
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > numTxns {
-				hi = numTxns
-			}
-			seen := seenScratch[s]
-			var nodes []int32 // member nodes, in first-access order
-			w := shardStart[s]
-			for ti := lo; ti < hi; ti++ {
-				epoch := int32(2*ti + 1)
-				nodes = nodes[:0]
-				for _, e := range c.Txn(ti) {
-					gi := g.GroupOf[e&^workload.WriteBit]
-					if seen[gi] != epoch {
-						seen[gi] = epoch
-						nodes = append(nodes, g.nodeFor(gi, int32(ti)))
-					}
-				}
-				if len(nodes) < 2 {
+	// Gather scratch for multi-accessor nodes, allocated only when some
+	// unexploded group has more than one accessor.
+	var mark []int32
+	var wgt []int64
+	var nbrs []int32
+	for gi := range g.groupBase {
+		if !g.exploded[gi] && g.accCount[gi] > 1 {
+			mark = make([]int32, numNodes)
+			wgt = make([]int64, numNodes)
+			break
+		}
+	}
+	gather := func(u int32, txns []int32) []int32 {
+		nbrs = nbrs[:0]
+		for _, ti := range txns {
+			for _, v := range edgesOf(u, ti) {
+				if v == u {
 					continue
 				}
-				if star {
-					hub := nodes[0]
-					for _, v := range nodes[1:] {
-						edges[w] = metis.BuilderEdge{U: hub, V: v, Weight: 1}
-						w++
-					}
-				} else {
-					for i := 0; i < len(nodes); i++ {
-						for j := i + 1; j < len(nodes); j++ {
-							edges[w] = metis.BuilderEdge{U: nodes[i], V: nodes[j], Weight: 1}
-							w++
-						}
-					}
+				if mark[v] != u {
+					mark[v] = u
+					wgt[v] = 0
+					nbrs = append(nbrs, v)
 				}
+				wgt[v]++
 			}
-		}(s)
+		}
+		return nbrs
 	}
-	wg.Wait()
+	resetMarks := func() {
+		for i := range mark {
+			mark[i] = -1
+		}
+	}
 
-	// Replication edges: centre—replica, weighted by the group's update
-	// count (the cost of keeping that replica in a different partition).
-	w := txnEdges
-	for gi := int32(0); int(gi) < numGroups; gi++ {
-		if !g.exploded[gi] {
+	// Pass 1: row lengths.
+	xadj := make([]int32, numNodes+1)
+	resetMarks()
+	for gi := int32(0); int(gi) < len(g.groupBase); gi++ {
+		base, txns := g.groupBase[gi], g.groupTxns(gi)
+		switch {
+		case g.exploded[gi]:
+			xadj[base+1] = int32(len(txns))
+			for ri, ti := range txns {
+				u := base + 1 + int32(ri)
+				xadj[u+1] = degree(u, ti) + 1
+			}
+		case len(txns) == 1:
+			xadj[base+1] = degree(base, txns[0])
+		default:
+			xadj[base+1] = int32(len(gather(base, txns)))
+		}
+	}
+	for u := int32(0); u < numNodes; u++ {
+		xadj[u+1] += xadj[u]
+	}
+
+	// Pass 2: fill every row in place.
+	adj := make([]int32, xadj[numNodes])
+	ewgt := make([]int64, xadj[numNodes])
+	resetMarks()
+	for gi := int32(0); int(gi) < len(g.groupBase); gi++ {
+		base, txns := g.groupBase[gi], g.groupTxns(gi)
+		switch {
+		case g.exploded[gi]:
+			updates, _ := g.replWeights(gi)
+			for ri, ti := range txns {
+				u := base + 1 + int32(ri)
+				adj[xadj[base]+int32(ri)], ewgt[xadj[base]+int32(ri)] = u, updates
+				fillTxnRow(u, edgesOf(u, ti), base, updates, adj[xadj[u]:xadj[u+1]], ewgt[xadj[u]:xadj[u+1]])
+			}
+		case len(txns) == 1:
+			fillTxnRow(base, edgesOf(base, txns[0]), -1, 0, adj[xadj[base]:xadj[base+1]], ewgt[xadj[base]:xadj[base+1]])
+		default:
+			row := gather(base, txns)
+			slices.Sort(row)
+			for j, v := range row {
+				adj[xadj[base]+int32(j)], ewgt[xadj[base]+int32(j)] = v, wgt[v]
+			}
+		}
+	}
+	return &metis.Graph{XAdj: xadj, Adj: adj, EWgt: ewgt, NWgt: nwgt}
+}
+
+// fillTxnRow writes node u's row from its one transaction's sorted
+// neighbour list nbrs (skipping u itself), each edge of weight 1, merging
+// the replication-centre edge (centre, weight updates) in sorted position
+// when centre >= 0. The centre never appears in a transaction list.
+func fillTxnRow(u int32, nbrs []int32, centre int32, updates int64, adj []int32, ewgt []int64) {
+	j := 0
+	for _, v := range nbrs {
+		if v == u {
 			continue
 		}
-		var updates int64
-		for _, f := range g.groupFlags(gi) {
-			if f&flagWrite != 0 {
-				updates++
-			}
+		if centre >= 0 && centre < v {
+			adj[j], ewgt[j] = centre, updates
+			j++
+			centre = -1
 		}
-		base := g.groupBase[gi]
-		for ri := int32(0); ri < g.accCount[gi]; ri++ {
-			edges[w] = metis.BuilderEdge{U: base, V: base + 1 + ri, Weight: updates}
-			w++
-		}
+		adj[j], ewgt[j] = v, 1
+		j++
 	}
-	return edges, nil
+	if centre >= 0 {
+		adj[j], ewgt[j] = centre, updates
+	}
 }
 
 // sigHash is a 64-bit FNV-1a-style hash of a tuple's access signature:

@@ -2,8 +2,6 @@ package graph
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"schism/internal/metis"
 	"schism/internal/workload"
@@ -20,10 +18,10 @@ import (
 // The front half (trace heuristics, interning, coalescing, node layout,
 // weights) is shared with Build, so the two representations describe
 // the same node space and every partitioning translation (Assignments,
-// DenseAssignments, ...) works unchanged. Pin generation is sharded
-// across GOMAXPROCS workers by contiguous transaction ranges with each
-// worker writing into precomputed slots, so the result is byte-identical
-// to a single-threaded build regardless of worker count.
+// DenseAssignments, ...) works unchanged. The transaction nets are the
+// per-transaction node lists Build assembles its rows from (txnNodes),
+// built by workers writing into precomputed slots, so the result is
+// byte-identical to a single-threaded build regardless of worker count.
 func BuildHyper(tr *workload.Trace, opts Options) (*Graph, error) {
 	g, c, nwgt, numNodes, numGroups, numTxns, err := buildCore(tr, opts)
 	if err != nil {
@@ -47,76 +45,10 @@ func BuildHyper(tr *workload.Trace, opts Options) (*Graph, error) {
 // hyperNetScale for "distributed transaction equivalents".
 const hyperNetScale = 64
 
-// buildPins generates the net pin lists in CSR form: transaction nets
-// sharded across workers (two passes — count, then fill into final
-// slots, mirroring buildEdges), replication nets appended serially.
-// Transactions touching fewer than two distinct groups produce no net.
+// buildPins generates the net pin lists in CSR form: one transaction net
+// per list txnNodes builds (transactions touching fewer than two distinct
+// groups produce none), replication nets appended serially.
 func (g *Graph) buildPins(c *workload.Compact, numGroups, numTxns int) (xpins, pins []int32, netWgt []int64, err error) {
-	workers := maxWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > numTxns {
-		workers = numTxns
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	chunk := (numTxns + workers - 1) / workers
-
-	// Epoch-stamped dedup scratch, one per worker, shared by both passes
-	// (pass 1 stamps 2·ti, pass 2 stamps 2·ti+1 — same discipline as
-	// buildEdges).
-	seenScratch := make([][]int32, workers)
-	for s := range seenScratch {
-		seen := make([]int32, numGroups)
-		for i := range seen {
-			seen[i] = -1
-		}
-		seenScratch[s] = seen
-	}
-
-	// Pass 1: per-shard net and pin counts.
-	shardNets := make([]int64, workers)
-	shardPins := make([]int64, workers)
-	var wg sync.WaitGroup
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > numTxns {
-				hi = numTxns
-			}
-			seen := seenScratch[s]
-			var nets, pinsN int64
-			for ti := lo; ti < hi; ti++ {
-				epoch := int32(2 * ti)
-				m := int64(0)
-				for _, e := range c.Txn(ti) {
-					gi := g.GroupOf[e&^workload.WriteBit]
-					if seen[gi] != epoch {
-						seen[gi] = epoch
-						m++
-					}
-				}
-				if m >= 2 {
-					nets++
-					pinsN += m
-				}
-			}
-			shardNets[s], shardPins[s] = nets, pinsN
-		}(s)
-	}
-	wg.Wait()
-
-	netStart := make([]int64, workers+1)
-	pinStart := make([]int64, workers+1)
-	for s := 0; s < workers; s++ {
-		netStart[s+1] = netStart[s] + shardNets[s]
-		pinStart[s+1] = pinStart[s] + shardPins[s]
-	}
-	txnNets, txnPins := netStart[workers], pinStart[workers]
 	var replNets, replPins int64
 	for gi := int32(0); int(gi) < numGroups; gi++ {
 		if !g.exploded[gi] {
@@ -133,55 +65,37 @@ func (g *Graph) buildPins(c *workload.Compact, numGroups, numTxns int) (xpins, p
 			replPins += 2 * acc
 		}
 	}
-	totalNets := txnNets + replNets
-	totalPins := txnPins + replPins
-	// Every net has >= 2 pins, so the pin check also bounds the net count.
-	if err := metis.CheckCSRCapacity(totalPins); err != nil {
-		return nil, nil, nil, fmt.Errorf("graph: %d hypergraph pins from %d transactions: %w (sample the trace)",
-			totalPins, numTxns, err)
+	var txnNets, txnPins int64
+	off, nodes, err := g.txnNodes(c, numGroups, replPins, func(size []int32) error {
+		for _, m := range size {
+			if m > 0 {
+				txnNets++
+				txnPins += int64(m)
+			}
+		}
+		// Every net has >= 2 pins, so the pin check also bounds the net
+		// count.
+		if err := metis.CheckCSRCapacity(txnPins + replPins); err != nil {
+			return fmt.Errorf("graph: %d hypergraph pins from %d transactions: %w (sample the trace)",
+				txnPins+replPins, numTxns, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
 	}
 
-	xpins = make([]int32, totalNets+1)
-	pins = make([]int32, totalPins)
-	netWgt = make([]int64, totalNets)
-
-	// Pass 2: each worker writes its shard's nets into place. The current
-	// transaction's pins are staged in a small buffer so an undersized
-	// access set never touches the shared arrays.
-	for s := 0; s < workers; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			lo, hi := s*chunk, (s+1)*chunk
-			if hi > numTxns {
-				hi = numTxns
-			}
-			seen := seenScratch[s]
-			var nodes []int32 // member nodes, in first-access order
-			e := netStart[s]
-			w := pinStart[s]
-			for ti := lo; ti < hi; ti++ {
-				epoch := int32(2*ti + 1)
-				nodes = nodes[:0]
-				for _, a := range c.Txn(ti) {
-					gi := g.GroupOf[a&^workload.WriteBit]
-					if seen[gi] != epoch {
-						seen[gi] = epoch
-						nodes = append(nodes, g.nodeFor(gi, int32(ti)))
-					}
-				}
-				if len(nodes) < 2 {
-					continue
-				}
-				copy(pins[w:], nodes)
-				w += int64(len(nodes))
-				netWgt[e] = hyperNetScale
-				xpins[e+1] = int32(w)
-				e++
-			}
-		}(s)
+	xpins = make([]int32, txnNets+replNets+1)
+	pins = nodes[:txnPins+replPins]
+	netWgt = make([]int64, txnNets+replNets)
+	e := 0
+	for ti := 0; ti < numTxns; ti++ {
+		if off[ti+1] > off[ti] {
+			netWgt[e] = hyperNetScale
+			xpins[e+1] = off[ti+1]
+			e++
+		}
 	}
-	wg.Wait()
 
 	// Replication nets, two kinds per exploded group (see replWeights):
 	// a group net spanning the centre and every replica, weight
@@ -193,7 +107,6 @@ func (g *Graph) buildPins(c *workload.Compact, numGroups, numTxns int) (xpins, p
 	// consolidating written groups. Rarely-written groups get weight-0
 	// arms (omitted) and read-only groups no nets at all: their replicas
 	// scatter for free, which is the point of replicating them.
-	e := txnNets
 	w := txnPins
 	for gi := int32(0); int(gi) < numGroups; gi++ {
 		if !g.exploded[gi] {

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"schism/internal/metis"
@@ -155,9 +156,17 @@ func TestBuildOverflowDifferential(t *testing.T) {
 		}
 		tr.Add(acc)
 	}
+	// The raw-count guard must refuse before any row array exists: the
+	// folded CSR alone would take ~5 GB, the front half a few MB.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	_, err := Build(tr, Options{})
+	runtime.ReadMemStats(&after)
 	if !errors.Is(err, metis.ErrTooLarge) {
 		t.Fatalf("Build on quadratic blow-up: err = %v, want ErrTooLarge", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("Build allocated %d MB before refusing", alloc>>20)
 	}
 	g, err := BuildHyper(tr, Options{})
 	if err != nil {

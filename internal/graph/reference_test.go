@@ -8,6 +8,7 @@ import (
 
 	"schism/internal/metis"
 	"schism/internal/workload"
+	"schism/internal/workloads"
 )
 
 // referenceBuild is the original single-threaded, map-based graph builder,
@@ -280,12 +281,27 @@ func assertMatchesReference(t *testing.T, g *Graph, ref *refGraph) {
 	if !reflect.DeepEqual(g.groupBase, ref.groupBase) {
 		t.Fatal("groupBase mismatch")
 	}
+	// Rows are written in place, so the arrays must be sized to the
+	// folded graph even where duplicate pairs shrank the rows.
+	if cap(g.CSR.Adj) != len(g.CSR.Adj) || cap(g.CSR.EWgt) != len(g.CSR.EWgt) || cap(g.CSR.XAdj) != len(g.CSR.XAdj) {
+		t.Fatalf("CSR arrays not exact-size: adj %d/%d ewgt %d/%d xadj %d/%d",
+			len(g.CSR.Adj), cap(g.CSR.Adj), len(g.CSR.EWgt), cap(g.CSR.EWgt), len(g.CSR.XAdj), cap(g.CSR.XAdj))
+	}
+}
+
+// smallTPCC is a TPC-C trace small enough for the map-based reference:
+// district and warehouse rows shared by many transactions, stock and
+// order-line rows touched once, the shapes the row assembly special-cases.
+func smallTPCC() *workload.Trace {
+	return workloads.TPCC(workloads.TPCCConfig{
+		Warehouses: 2, Districts: 3, Customers: 10, Items: 60, InitialOrders: 3, Txns: 250, Seed: 11,
+	}).Trace
 }
 
 // TestBuildMatchesReference cross-checks the rewritten builder against the
-// original map-based builder over random traces and the full option
-// matrix: replication on/off × coalescing on/off × clique/star edges,
-// plus data-size weights and the §5.1 trace filters.
+// original map-based builder over random traces, a small TPC-C trace and
+// the full option matrix: replication on/off × coalescing on/off ×
+// clique/star edges, plus data-size weights and the §5.1 trace filters.
 func TestBuildMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	var optsMatrix []Options
@@ -304,10 +320,13 @@ func TestBuildMatchesReference(t *testing.T) {
 		Options{Replication: true, Coalesce: true, TxnSampleRate: 0.6,
 			BlanketMaxTuples: 8, MinAccesses: 2, Seed: 9},
 	)
+	traces := map[string]*workload.Trace{"tpcc": smallTPCC()}
 	for trial := 0; trial < 4; trial++ {
-		tr := randomTrace(rng, 60+trial*40)
+		traces[fmt.Sprintf("trial%d", trial)] = randomTrace(rng, 60+trial*40)
+	}
+	for name, tr := range traces {
 		for oi, opts := range optsMatrix {
-			t.Run(fmt.Sprintf("trial%d/opts%d", trial, oi), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/opts%d", name, oi), func(t *testing.T) {
 				g := mustBuild(Build(tr, opts))
 				ref := referenceBuild(tr, opts)
 				assertMatchesReference(t, g, ref)
@@ -319,25 +338,55 @@ func TestBuildMatchesReference(t *testing.T) {
 	}
 }
 
+// TestBuildReplicaCentreMidRow pins the row merge for a replica whose
+// centre id sorts between the other nodes of its transaction. T0 reads a
+// and b; T1 reads a, b and c. With replication a and b explode (a: centre
+// 0, replicas 1 and 2; b: centre 3, replicas 4 and 5) and c is node 6, so
+// T1's replica of b has the row {2, 3, 6}: its centre lands mid-row.
+func TestBuildReplicaCentreMidRow(t *testing.T) {
+	id := func(k int64) workload.TupleID { return workload.TupleID{Table: "t", Key: k} }
+	tr := workload.NewTrace()
+	tr.Add([]workload.Access{{Tuple: id(1)}, {Tuple: id(2), Write: true}})
+	tr.Add([]workload.Access{{Tuple: id(1)}, {Tuple: id(2)}, {Tuple: id(3)}})
+	for _, mode := range []EdgeMode{CliqueEdges, StarEdges} {
+		opts := Options{Replication: true, TxnEdges: mode}
+		g := mustBuild(Build(tr, opts))
+		assertMatchesReference(t, g, referenceBuild(tr, opts))
+		if mode != CliqueEdges {
+			continue
+		}
+		const u = 5
+		row := g.CSR.Adj[g.CSR.XAdj[u]:g.CSR.XAdj[u+1]]
+		wgt := g.CSR.EWgt[g.CSR.XAdj[u]:g.CSR.XAdj[u+1]]
+		if !reflect.DeepEqual(row, []int32{2, 3, 6}) || !reflect.DeepEqual(wgt, []int64{1, 1, 1}) {
+			t.Fatalf("row of node %d = %v weights %v, want [2 3 6] [1 1 1]", u, row, wgt)
+		}
+	}
+}
+
 // TestBuildDeterministicAcrossWorkers pins the tentpole guarantee: for a
-// fixed seed the sharded edge generation yields a byte-identical graph at
-// any worker count.
+// fixed seed the sharded node-list pass yields a byte-identical graph at
+// any worker count, for clique and star builds alike.
 func TestBuildDeterministicAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	tr := randomTrace(rng, 300)
-	opts := Options{Replication: true, Coalesce: true, Seed: 5}
-
 	defer func() { maxWorkers = 0 }()
-	maxWorkers = 1
-	base := mustBuild(Build(tr, opts))
-	for _, w := range []int{2, 3, 8, 64} {
-		maxWorkers = w
-		g := mustBuild(Build(tr, opts))
-		if !reflect.DeepEqual(g.CSR, base.CSR) {
-			t.Fatalf("CSR differs at %d workers", w)
-		}
-		if !reflect.DeepEqual(g.Nodes, base.Nodes) {
-			t.Fatalf("nodes differ at %d workers", w)
+	for _, opts := range []Options{
+		{Replication: true, Coalesce: true, Seed: 5},
+		{Replication: true, Coalesce: true, TxnEdges: StarEdges, Seed: 5},
+		{TxnEdges: StarEdges, Seed: 5},
+	} {
+		maxWorkers = 1
+		base := mustBuild(Build(tr, opts))
+		for _, w := range []int{2, 3, 8, 64} {
+			maxWorkers = w
+			g := mustBuild(Build(tr, opts))
+			if !reflect.DeepEqual(g.CSR, base.CSR) {
+				t.Fatalf("edges %d: CSR differs at %d workers", opts.TxnEdges, w)
+			}
+			if !reflect.DeepEqual(g.Nodes, base.Nodes) {
+				t.Fatalf("edges %d: nodes differ at %d workers", opts.TxnEdges, w)
+			}
 		}
 	}
 }

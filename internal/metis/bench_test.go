@@ -37,8 +37,8 @@ var benchEdges = sync.OnceValue(func() []BuilderEdge {
 })
 
 // BenchmarkNewGraph measures edge-list→CSR assembly with duplicate
-// folding, the inner loop of both graph construction and every coarsening
-// level of the partitioner.
+// folding, as the hypergraph partitioner's coarsest-level clique
+// expansion uses it.
 func BenchmarkNewGraph(b *testing.B) {
 	edges := benchEdges()
 	b.ReportAllocs()

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Runs the performance-tracked benchmarks — graph construction
-# (graph.Build, metis.NewGraph; BenchmarkHGraphBuild is the
+# (graph.Build's row-by-row clique/star CSR assembly; metis.NewGraph, the
+# edge-list assembly the hypergraph partitioner's coarsest level uses;
+# BenchmarkHGraphBuild is the
 # hypergraph-native build whose ns_per_op and bytes_per_op against
 # BenchmarkGraphBuild/clique are the PR-9 acceptance numbers), the
 # multilevel partitioner (BenchmarkPartKway on the TPCC-50W-scale graph,
@@ -61,7 +63,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-OUT="${1:-BENCH_10.json}"
+OUT="${1:-BENCH_14.json}"
 TXT="$(mktemp)"
 trap 'rm -f "$TXT"' EXIT
 
